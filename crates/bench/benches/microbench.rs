@@ -400,6 +400,66 @@ fn bench_quota(c: &mut Criterion) {
     g.finish();
 }
 
+/// Strand handoff (DESIGN.md decision #15): a two-strand `yield_now`
+/// ping-pong, and barrier epochs driven by one ticker on an otherwise idle
+/// 12-shard board. An iteration is one whole run, set up untimed; each
+/// label carries the run's switch or epoch count, so ns per switch (per
+/// epoch) is the reported time divided by it.
+fn bench_sched(c: &mut Criterion) {
+    use spin_sal::MulticoreBoard;
+    use spin_sched::{Executor, IdleOutcome, Multicore};
+
+    let mut g = c.benchmark_group("sched");
+    g.measurement_time(Duration::from_millis(400))
+        .warm_up_time(Duration::from_millis(150));
+
+    let ping_pong = || {
+        let exec = Executor::for_host(&MulticoreBoard::new().new_host(16));
+        for name in ["ping", "pong"] {
+            exec.spawn(name, |ctx| {
+                for _ in 0..500 {
+                    ctx.yield_now();
+                }
+            });
+        }
+        exec
+    };
+    let switches = {
+        let exec = ping_pong();
+        exec.run_until_idle();
+        exec.switches()
+    };
+    g.bench_function(&format!("yield_pingpong/{switches}_switches"), |b| {
+        b.iter_with_setup(ping_pong, |exec| {
+            assert_eq!(exec.run_until_idle(), IdleOutcome::AllComplete)
+        })
+    });
+
+    let ticker = || {
+        let board = MulticoreBoard::new();
+        let mut mc = Multicore::new(1, board.lookahead());
+        let execs: Vec<_> = (0..12).map(|_| mc.add_host(board.new_host(16))).collect();
+        let step = mc.lookahead();
+        execs[0].spawn("ticker", move |ctx| {
+            for _ in 0..200 {
+                ctx.sleep(step);
+            }
+        });
+        mc
+    };
+    let epochs = {
+        let mc = ticker();
+        mc.run_until_idle();
+        mc.stats().epochs
+    };
+    g.bench_function(&format!("ticker_12_shards/{epochs}_epochs"), |b| {
+        b.iter_with_setup(ticker, |mc| {
+            assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete)
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_dispatch,
@@ -409,6 +469,7 @@ criterion_group!(
     bench_gc,
     bench_obs,
     bench_fault,
-    bench_quota
+    bench_quota,
+    bench_sched
 );
 criterion_main!(benches);

@@ -7,7 +7,7 @@
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | `D1` | no wall-clock, ambient randomness, thread identity, or env/fs reads — virtual time and seeded draws only |
+//! | `D1` | no wall-clock, ambient randomness, thread identity, per-thread state (`thread_local!`), or env/fs reads — virtual time and seeded draws only |
 //! | `D2` | no iteration over `HashMap`/`HashSet` — hash order is nondeterministic and has already broken the 1/2/4-worker byte-identity invariant once |
 //! | `F1` | all synchronization through `spin_check::sync` — no direct `std::sync::atomic` / `core::sync::atomic` / `parking_lot` — so `--cfg spin_check` can instrument it |
 //! | `O1` | every `Ordering::{Relaxed,Acquire,Release,AcqRel,SeqCst}` site carries an `// ordering:` justification within 2 lines |
@@ -401,7 +401,8 @@ impl<'a> FileLint<'a> {
         self.rule_c1();
     }
 
-    // D1: wall-clock, randomness, thread identity, ambient env/fs.
+    // D1: wall-clock, randomness, thread identity and per-thread state,
+    // ambient env/fs.
     fn rule_d1(&mut self) {
         let hits: Vec<(usize, &'static str, &'static str)> = {
             let lx = &self.lx;
@@ -419,6 +420,8 @@ impl<'a> FileLint<'a> {
                     v.push((t.line, "ambient-randomness", HINT_D1_RAND));
                 } else if lx.seq_at(i, &["thread", "::", "current"]) {
                     v.push((t.line, "thread-identity", HINT_D1_TID));
+                } else if lx.seq_at(i, &["thread_local", "!"]) {
+                    v.push((t.line, "thread-local", HINT_D1_TLS));
                 } else if lx.seq_at(i, &["std", "::", "env"])
                     || lx.seq_at(i, &["std", "::", "fs"])
                     || lx.seq_at(i, &["env", "::", "var"])
@@ -841,6 +844,8 @@ const HINT_D1_RAND: &str =
     "randomness must be seeded and replayable: draw from spin_fault::FaultPlan / SplitMix64";
 const HINT_D1_TID: &str =
     "OS thread identity is nondeterministic: key on the shard/strand id from the executor";
+const HINT_D1_TLS: &str =
+    "strands hand the processor between OS threads: keep per-strand state in the executor, not in thread-locals";
 const HINT_D1_ENV: &str =
     "kernel code must not read ambient env/fs state: thread configuration in explicitly";
 const HINT_D2: &str =
@@ -1070,7 +1075,7 @@ mod tests {
     fn d1_flags_wall_clock_and_randomness() {
         let f = run(
             "crates/core/src/x.rs",
-            "use std::time::Instant;\nlet r = thread_rng();\nlet id = std::thread::current().id();\nlet h = std::env::var(\"HOME\");\n",
+            "use std::time::Instant;\nlet r = thread_rng();\nlet id = std::thread::current().id();\nlet h = std::env::var(\"HOME\");\nthread_local! { static X: u8 = 0; }\n",
         );
         let details: Vec<_> = f.iter().map(|f| (f.line, f.detail)).collect();
         assert_eq!(
@@ -1080,6 +1085,7 @@ mod tests {
                 (2, "ambient-randomness"),
                 (3, "thread-identity"),
                 (4, "ambient-environment"),
+                (5, "thread-local"),
             ],
             "{f:?}"
         );

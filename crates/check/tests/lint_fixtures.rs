@@ -28,8 +28,9 @@ fn charged_cfg(rel: &str) -> Config {
 
 /// (rule, fixture, expected line) for the single-violation bad corpus.
 /// C1 is separate — it needs the charged-module config.
-const BAD: [(&str, &str, usize); 5] = [
+const BAD: [(&str, &str, usize); 6] = [
     ("D1", "bad/d1.rs", 4),
+    ("D1", "bad/d1_thread_local.rs", 6),
     ("D2", "bad/d2.rs", 7),
     ("F1", "bad/f1.rs", 4),
     ("O1", "bad/o1.rs", 7),
@@ -57,7 +58,7 @@ fn bad_fixtures_fire_at_the_exact_line() {
 #[test]
 fn clean_fixtures_are_silent() {
     let cfg = Config::default();
-    for rule in ["d1", "d2", "f1", "o1", "u1"] {
+    for rule in ["d1", "d1_thread_local", "d2", "f1", "o1", "u1"] {
         let file = format!("clean/{rule}.rs");
         let findings = lint_str(&file, &fixture(&file), &cfg);
         assert!(findings.is_empty(), "{file}: false positives {findings:?}");

@@ -2,15 +2,28 @@
 //!
 //! Every *strand* (§4.2: "a strand is similar to a thread ... \[but\] has no
 //! minimal or requisite kernel state other than a name") is backed by a
-//! real OS thread, but **exactly one simulated context runs at a time**: a
-//! baton passes between the coordinator (the thread that called
-//! [`Executor::run_until_idle`]) and the running strand. All scheduling
+//! real OS thread, but **exactly one simulated context of a run holds the
+//! processor at a time**: the processor is a baton, and all scheduling
 //! decisions are made by a [`SchedulerPolicy`] under the executor lock, so
 //! runs are reproducible regardless of OS scheduling.
 //!
-//! The coordinator pumps the simulation between strand slices: it fires due
-//! timers, dispatches device interrupts, and — when no strand is runnable —
-//! skips the virtual clock forward to the next timer deadline.
+//! There is no coordinator thread that every slice returns to. A strand
+//! that blocks, yields or finishes does the scheduler's work on its own OS
+//! thread: it raises the Checkpoint hook for itself, fires due timers,
+//! dispatches device interrupts, dequeues the next strand — skipping the
+//! virtual clock forward to the next timer deadline while none is
+//! runnable — and signals that strand's baton directly. If it picks itself
+//! again it signals nothing and keeps running. One slice therefore costs
+//! one OS context switch, not a round trip through a coordinator.
+//!
+//! A run walks a resumable cursor (`Drive`) over `(executor, grant)`
+//! items: [`Executor::run_until`] is a single item; [`Multicore`] feeds it
+//! the shards of its epoch plans, so the strand that ends one shard's slice
+//! also drains the next shard's mailbox and plans the next epoch. The
+//! thread that started the run parks until the last item ends. Code pumped
+//! on a strand's thread (a timer callback, an interrupt handler) runs
+//! outside that strand's containment: if it panics, the cursor carries the
+//! panic to the thread that started the run and re-raises it there.
 //!
 //! Preemption reproduces the paper's "the kernel is preemptive, ensuring
 //! that a handler cannot take over the processor": the clock's advance hook
@@ -19,6 +32,8 @@
 //! or yielding operation). Safe-point preemption keeps the simulation
 //! deadlock-free while preserving quantum semantics on the virtual
 //! timeline.
+//!
+//! [`Multicore`]: crate::shard::Multicore
 
 use spin_check::sync::{AtomicBool, AtomicU64, Ordering};
 use spin_check::sync::{Condvar, Mutex};
@@ -142,10 +157,24 @@ struct StrandInfo {
 
 struct ExecState {
     strands: BTreeMap<StrandId, StrandInfo>,
+    /// How many strands are `Ready`: kept in step by [`set_state`] so the
+    /// shard horizon needs no scan of `strands`.
+    ready: usize,
     policy: Box<dyn SchedulerPolicy>,
     current: Option<StrandId>,
     host_busy: BTreeMap<HostId, Nanos>,
     switches: u64,
+    /// The run that placed the running strand on the processor: the one
+    /// that strand continues when it gives the processor up.
+    drive: Option<Arc<Drive>>,
+}
+
+/// Moves a strand to `to`, keeping [`ExecState::ready`] in step. Every
+/// entry to and exit from `Ready` passes through here.
+fn set_state(ready: &mut usize, info: &mut StrandInfo, to: RunState) {
+    *ready += usize::from(to == RunState::Ready);
+    *ready -= usize::from(info.state == RunState::Ready);
+    info.state = to;
 }
 
 /// Hooks raised around scheduling transitions so stacked schedulers and
@@ -177,7 +206,6 @@ pub struct Executor {
     profile: Arc<MachineProfile>,
     state: Mutex<ExecState>,
     irqs: Mutex<Vec<IrqController>>,
-    main_baton: Arc<Baton>,
     next_id: AtomicU64,
     quantum: AtomicU64,
     quantum_used: AtomicU64,
@@ -204,13 +232,14 @@ impl Executor {
             profile,
             state: Mutex::new(ExecState {
                 strands: BTreeMap::new(),
+                ready: 0,
                 policy: Box::new(RoundRobinPriority::default()),
                 current: None,
                 host_busy: BTreeMap::new(),
                 switches: 0,
+                drive: None,
             }),
             irqs: Mutex::new(Vec::new()),
-            main_baton: Baton::new(),
             next_id: AtomicU64::new(1),
             quantum: AtomicU64::new(1_000_000), // 1 ms virtual quantum
             quantum_used: AtomicU64::new(0),
@@ -378,6 +407,7 @@ impl Executor {
                     deadline: deadline.clone(),
                 },
             );
+            st.ready += 1; // born Ready
             let prio = self.effective_priority(name, priority);
             st.policy.enqueue(id, prio);
         }
@@ -412,23 +442,29 @@ impl Executor {
         id
     }
 
-    /// Strand termination: wake joiners, return control to the coordinator.
+    /// Strand termination: wake joiners, then hand the processor on.
     fn finish_current(&self, panicked: bool) {
-        {
+        let (me, drive) = {
             let mut st = self.state.lock();
+            let st = &mut *st;
             let cur = st.current.expect("a finishing strand was current");
             let joiners = {
                 let info = st.strands.get_mut(&cur).expect("current exists");
-                info.state = RunState::Done;
+                set_state(&mut st.ready, info, RunState::Done);
                 info.panicked = panicked;
                 std::mem::take(&mut info.joiners)
             };
             for j in joiners {
-                self.make_ready(&mut st, j);
+                self.make_ready(st, j);
             }
             st.current = None;
-        }
-        self.main_baton.signal();
+            (
+                cur,
+                st.drive.take().expect("a running strand is inside a run"),
+            )
+        };
+        let kept = self.hand_off(me, drive);
+        debug_assert!(!kept, "a finished strand is never picked");
         // Thread exits; the OS thread is never reused.
     }
 
@@ -437,7 +473,7 @@ impl Executor {
             // Already-Ready strands stay queued; anything else (Running,
             // Finished) is not resurrectable here.
             if info.state == RunState::Blocked {
-                info.state = RunState::Ready;
+                set_state(&mut st.ready, info, RunState::Ready);
                 let prio = self.effective_priority(&info.name, info.priority);
                 st.policy.enqueue(id, prio);
             }
@@ -455,23 +491,45 @@ impl Executor {
         self.make_ready(&mut st, id);
     }
 
-    /// Returns control to the coordinator; the calling strand keeps `state`.
+    /// Gives up the processor: the calling strand takes `new_state` and
+    /// runs the scheduler's turn itself, returning once it is picked again.
     fn switch_out(&self, new_state: RunState) {
-        let my_baton = {
+        let (me, my_baton, drive) = {
             let mut st = self.state.lock();
+            let st = &mut *st;
             let cur = st.current.expect("switch_out from a running strand");
             let info = st.strands.get_mut(&cur).expect("current exists");
-            info.state = new_state;
+            set_state(&mut st.ready, info, new_state);
             let baton = info.baton.clone();
             if new_state == RunState::Ready {
                 let prio = self.effective_priority(&info.name, info.priority);
                 st.policy.enqueue(cur, prio);
             }
             st.current = None;
-            baton
+            let drive = st.drive.take().expect("a running strand is inside a run");
+            (cur, baton, drive)
         };
-        self.main_baton.signal();
-        my_baton.wait();
+        if !self.hand_off(me, drive) {
+            my_baton.wait();
+        }
+    }
+
+    /// Takes the scheduler's turn on the thread of `me`, which has just
+    /// left `Running`, and passes the processor straight to the strand the
+    /// turn picks. Returns whether that strand is `me` itself — then
+    /// nothing is signalled and `me` keeps running.
+    fn hand_off(&self, me: StrandId, drive: Arc<Drive>) -> bool {
+        match drive.turn_caught(Some((self, me))) {
+            Turn::Keep => true,
+            Turn::Pass(baton) => {
+                baton.signal();
+                false
+            }
+            Turn::Over(result) => {
+                drive.finish(result);
+                false
+            }
+        }
     }
 
     /// Blocks the calling strand until [`Executor::unblock`]. Raises the
@@ -496,15 +554,24 @@ impl Executor {
 
     /// Runs the simulation until every strand completes, a deadline is hit,
     /// or the system deadlocks. Must be called from outside any strand.
-    pub fn run_until_idle(&self) -> IdleOutcome {
+    pub fn run_until_idle(self: &Arc<Self>) -> IdleOutcome {
         self.run_until(Nanos::MAX)
     }
 
     /// Like [`Executor::run_until_idle`] with a virtual-time deadline.
-    pub fn run_until(&self, deadline: Nanos) -> IdleOutcome {
+    pub fn run_until(self: &Arc<Self>, deadline: Nanos) -> IdleOutcome {
+        Drive::new(Box::new(Single(Some((self.clone(), deadline))))).run()
+    }
+
+    /// One scheduler turn, up to `deadline`: fire due timers, dispatch
+    /// interrupts, and place the next ready strand on the processor —
+    /// skipping the clock to the next timer while none is ready. Returns
+    /// the placed strand with the baton still to signal, or how the item
+    /// ended.
+    fn pump(&self, drive: &Arc<Drive>, deadline: Nanos) -> Pumped {
         loop {
             if self.clock.now() >= deadline {
-                return IdleOutcome::DeadlineReached;
+                return Pumped::Ended(IdleOutcome::DeadlineReached);
             }
             // Pump completions and interrupts first: they may unblock work.
             self.timers.fire_due(self.clock.now());
@@ -534,34 +601,29 @@ impl Executor {
                     if let Some(h) = self.hooks.lock().resume.as_ref() {
                         h(id);
                     }
-                    self.quantum_used.store(0, Ordering::Relaxed); // ordering: Relaxed — quantum bookkeeping on the executor thread.
-                    self.preempt_pending.store(false, Ordering::Relaxed); // ordering: Relaxed — quantum bookkeeping on the executor thread.
+                    self.quantum_used.store(0, Ordering::Relaxed); // ordering: Relaxed — quantum bookkeeping on the thread holding the processor.
+                    self.preempt_pending.store(false, Ordering::Relaxed); // ordering: Relaxed — quantum bookkeeping on the thread holding the processor.
                     if let Some(obs) = self.obs.get() {
                         obs.counters
                             .context_switches
                             .fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
                         obs.trace(TraceKind::ContextSwitch, id.0, 0);
                     }
-                    let baton = {
-                        let mut st = self.state.lock();
-                        st.switches += 1;
-                        st.current = Some(id);
-                        let info = st.strands.get_mut(&id).expect("dequeued strand exists");
-                        info.state = RunState::Running;
-                        info.baton.clone()
-                    };
-                    baton.signal();
-                    self.main_baton.wait();
-                    if let Some(h) = self.hooks.lock().checkpoint.as_ref() {
-                        h(id);
-                    }
+                    let mut st = self.state.lock();
+                    let st = &mut *st;
+                    st.switches += 1;
+                    st.current = Some(id);
+                    st.drive = Some(drive.clone());
+                    let info = st.strands.get_mut(&id).expect("dequeued strand exists");
+                    set_state(&mut st.ready, info, RunState::Running);
+                    return Pumped::Run(id, info.baton.clone());
                 }
                 None => {
                     // Idle: advance to the next timer, or stop.
                     match self.timers.next_deadline() {
                         Some(t) if t >= deadline => {
                             self.clock.skip_to(deadline);
-                            return IdleOutcome::DeadlineReached;
+                            return Pumped::Ended(IdleOutcome::DeadlineReached);
                         }
                         Some(t) => {
                             self.clock.skip_to(t.max(self.clock.now()));
@@ -574,15 +636,22 @@ impl Executor {
                                 .filter(|i| i.state == RunState::Blocked && !i.daemon)
                                 .map(|i| i.name.clone())
                                 .collect();
-                            return if blocked.is_empty() {
+                            return Pumped::Ended(if blocked.is_empty() {
                                 IdleOutcome::AllComplete
                             } else {
                                 IdleOutcome::Deadlock { blocked }
-                            };
+                            });
                         }
                     }
                 }
             }
+        }
+    }
+
+    /// Raises the Checkpoint hook for a strand that left the processor.
+    fn checkpoint(&self, id: StrandId) {
+        if let Some(h) = self.hooks.lock().checkpoint.as_ref() {
+            h(id);
         }
     }
 
@@ -596,7 +665,15 @@ impl Executor {
         let now = self.clock.now();
         let has_ready = {
             let st = self.state.lock();
-            st.strands.values().any(|i| i.state == RunState::Ready)
+            debug_assert_eq!(
+                st.ready,
+                st.strands
+                    .values()
+                    .filter(|i| i.state == RunState::Ready)
+                    .count(),
+                "ready count out of step with the strand states"
+            );
+            st.ready > 0
         };
         if has_ready || self.irqs.lock().iter().any(|i| i.has_pending()) {
             return Some(now);
@@ -702,6 +779,150 @@ impl Executor {
             id,
             deadline,
         })
+    }
+}
+
+/// What one scheduler turn of an executor came to.
+enum Pumped {
+    /// This strand now holds the processor; its baton is still to signal.
+    Run(StrandId, Arc<Baton>),
+    /// The item is over: nothing is ready before its grant.
+    Ended(IdleOutcome),
+}
+
+/// The `(executor, grant)` items one run walks, in order.
+pub(crate) trait Items: Send {
+    /// Moves to the next item, or returns the run's outcome once there is
+    /// none. `ended` is how the previous item ended (`None` before the
+    /// first). Runs on whichever thread holds the processor.
+    fn next(&mut self, ended: Option<IdleOutcome>) -> Result<(Arc<Executor>, Nanos), IdleOutcome>;
+}
+
+/// The single item behind [`Executor::run_until`].
+struct Single(Option<(Arc<Executor>, Nanos)>);
+
+impl Items for Single {
+    fn next(&mut self, ended: Option<IdleOutcome>) -> Result<(Arc<Executor>, Nanos), IdleOutcome> {
+        self.0.take().ok_or_else(|| ended.expect("the item ended"))
+    }
+}
+
+/// What a turn of the cursor leaves the thread that took it to do.
+enum Turn {
+    /// The strand that gave up the processor was picked again.
+    Keep,
+    /// Another strand was picked: signal its baton.
+    Pass(Arc<Baton>),
+    /// No item is left: the run is over, or pumped code panicked.
+    Over(std::thread::Result<IdleOutcome>),
+}
+
+/// One run: a resumable cursor over [`Items`], advanced by whichever
+/// thread holds the processor — the thread that started the run, then each
+/// strand as it gives the processor up.
+pub(crate) struct Drive {
+    cursor: Mutex<Cursor>,
+    /// The thread that started the run parks here until it is over.
+    parked: Arc<Baton>,
+    result: Mutex<Option<std::thread::Result<IdleOutcome>>>,
+}
+
+struct Cursor {
+    items: Box<dyn Items>,
+    /// The current item's grant (`None` outside a run).
+    grant: Option<Nanos>,
+}
+
+impl Drive {
+    pub(crate) fn new(items: Box<dyn Items>) -> Arc<Drive> {
+        Arc::new(Drive {
+            cursor: Mutex::new(Cursor { items, grant: None }),
+            parked: Baton::new(),
+            result: Mutex::new(None),
+        })
+    }
+
+    /// Walks every item, parking the calling thread while strands hold the
+    /// processor, and returns how the last item's walk ended. A panic in
+    /// pumped code is re-raised here, whichever thread it happened on. A
+    /// drive may be run again once a run is over: its items start anew.
+    pub(crate) fn run(self: &Arc<Self>) -> IdleOutcome {
+        let result = match self.turn_caught(None) {
+            Turn::Over(result) => result,
+            Turn::Pass(baton) => {
+                baton.signal();
+                self.parked.wait();
+                self.result
+                    .lock()
+                    .take()
+                    .expect("a finished run leaves its result")
+            }
+            Turn::Keep => unreachable!("only a strand can be picked again"),
+        };
+        result.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    }
+
+    /// Ends the run with `result` and wakes the thread that started it.
+    fn finish(&self, result: std::thread::Result<IdleOutcome>) {
+        *self.result.lock() = Some(result);
+        self.parked.signal();
+    }
+
+    /// [`Drive::turn`], except that a panic ends the run instead of
+    /// unwinding the thread that took the turn: on a strand, that unwind
+    /// would land in the strand's own containment.
+    fn turn_caught(self: &Arc<Self>, me: Option<(&Executor, StrandId)>) -> Turn {
+        catch_unwind(AssertUnwindSafe(|| self.turn(me))).unwrap_or_else(|payload| {
+            self.cursor.lock().grant = None;
+            Turn::Over(Err(payload))
+        })
+    }
+
+    /// The scheduler's turn: `me` (absent on the thread that started the
+    /// run) has just given up the processor on its executor, the current
+    /// item's. Pumps that item, moving on as each item ends, until a
+    /// strand is picked or no item is left.
+    fn turn(self: &Arc<Self>, me: Option<(&Executor, StrandId)>) -> Turn {
+        let mut owned: Arc<Executor>;
+        let (mut exec, mut grant) = match me {
+            Some((exec, id)) => {
+                exec.checkpoint(id);
+                let grant = self.cursor.lock().grant;
+                (exec, grant.expect("a strand runs inside an item"))
+            }
+            None => match self.step(None) {
+                Ok((next, grant)) => {
+                    owned = next;
+                    (&*owned, grant)
+                }
+                Err(outcome) => return Turn::Over(Ok(outcome)),
+            },
+        };
+        loop {
+            match exec.pump(self, grant) {
+                Pumped::Run(id, baton) => {
+                    return match me {
+                        Some((e, s)) if std::ptr::eq(e, exec) && s == id => Turn::Keep,
+                        _ => Turn::Pass(baton),
+                    }
+                }
+                Pumped::Ended(outcome) => match self.step(Some(outcome)) {
+                    Ok((next, next_grant)) => {
+                        owned = next;
+                        (exec, grant) = (&*owned, next_grant);
+                    }
+                    Err(outcome) => return Turn::Over(Ok(outcome)),
+                },
+            }
+        }
+    }
+
+    /// Moves the cursor to the next item.
+    fn step(&self, ended: Option<IdleOutcome>) -> Result<(Arc<Executor>, Nanos), IdleOutcome> {
+        let mut cursor = self.cursor.lock();
+        let next = cursor.items.next(ended);
+        cursor.grant = next.as_ref().ok().map(|&(_, grant)| grant);
+        next
     }
 }
 

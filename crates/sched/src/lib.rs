@@ -4,8 +4,8 @@
 //!
 //! * **strands** and the deterministic [`Executor`] that multiplexes them
 //!   on the virtual timeline (one real OS thread per strand, exactly one
-//!   running at a time, preemption at safe points when the quantum
-//!   expires);
+//!   running at a time, each handing the processor straight to the next,
+//!   preemption at safe points when the quantum expires);
 //! * the **Strand interface events** — `Block`, `Unblock`, `Checkpoint`,
 //!   `Resume` — raised through the central dispatcher so stacked
 //!   schedulers and thread packages can observe control flow

@@ -3,7 +3,7 @@
 //! [`Multicore`] runs one [`Executor`] per simulated host (*shard*), each
 //! with its own clock, timer queue and inbound [`Mailbox`]. Shards execute
 //! concurrently on real OS threads, yet every virtual-time output is
-//! byte-identical whether the epoch plan is pumped by 1, 2 or 4 workers —
+//! byte-identical whether the epoch plan is walked by 1, 2 or 4 workers —
 //! the determinism the shared-timeline executor gives for free, recovered
 //! at multicore scale.
 //!
@@ -12,41 +12,61 @@
 //! Cross-shard effects travel only through mailboxes, and every such
 //! effect has a minimum virtual latency `L` (the *lookahead*: the cheapest
 //! of the cross-call latency and the wire propagations). Each epoch the
-//! coordinator computes, per shard `i`:
+//! planner computes, per shard `i`:
 //!
 //! * `n_i` — the shard's next event time: *now* if a strand is runnable or
 //!   an interrupt is pending, else the earliest local timer or pending
 //!   mailbox deadline, clamped to the local clock; `None` if fully idle.
+//!   The executor keeps a count of ready strands, so this is O(1).
 //! * `GVT = min over the Some n_j` — the global virtual time floor. When
 //!   every shard is `None`, the system is done.
 //! * `ñ_j = n_j`, or `GVT + L` for idle shards — an idle shard can be
 //!   woken by mail no earlier than `GVT + L`, and anything *it* then sends
 //!   arrives another `L` later, so `GVT + L` bounds its next send time.
-//! * `grant_i = L + min over j≠i of ñ_j` — no mail can arrive at shard `i`
-//!   before its grant, by induction on the chain of sends that could
-//!   produce it.
+//! * `grant_i = min(L + min over j≠i of ñ_j, n_i + 2L)` — no mail can
+//!   arrive at shard `i` before its grant, by induction on the chain of
+//!   sends that could produce it. The peers' minimum is the least `ñ`, or
+//!   the second least for the shard holding the least, so one pass over
+//!   the shards plans the whole epoch.
 //!
 //! Shard `i` runs this epoch iff `n_i < grant_i`, executing up to its
 //! grant. The shard whose `n_i == GVT` always qualifies (`grant_i ≥ GVT +
-//! L > GVT`), so virtual time advances every epoch. Which OS thread pumps
+//! L > GVT`), so virtual time advances every epoch. Which OS thread runs
 //! which shard is irrelevant: the plan is a pure function of virtual-time
 //! state, all of it deterministic.
+//!
+//! # Who runs the plan
+//!
+//! The plan's `(shard, grant)` items are walked by the executor's
+//! resumable cursor (`Drive`), advanced by whichever thread holds the
+//! processor. At one worker a single cursor walks every epoch: the strand
+//! whose slice ends one shard's grant drains the next shard's mailbox,
+//! pumps it and hands the processor to its strand, and after the last item
+//! plans the next epoch — no thread sits between slices. With more
+//! workers the calling thread plans; each worker, the planner included,
+//! walks its round-robin share of the plan between two spin barriers, and
+//! a single-shard plan runs on the planner alone, with no barrier at all.
 //!
 //! A shard may overshoot its grant (a strand charges a big slice of work
 //! in one `work()` call); mail that then lands "in its past" is delivered
 //! at the shard's — deterministic — local clock instead, exactly as a real
 //! core sees a late inter-processor interrupt. DESIGN.md decision #9
 //! explains why this conservative barrier was chosen over optimistic
-//! rollback.
+//! rollback, and decision #15 why the handoff stays deterministic.
+//!
+//! [`Mailbox`]: spin_sal::Mailbox
 
-use crate::executor::{Executor, IdleOutcome};
-use spin_check::sync::{AtomicBool, AtomicU64, Ordering};
+use crate::executor::{Drive, Executor, IdleOutcome, Items};
+use spin_check::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 use spin_fault::{FaultHook, Injection};
 use spin_obs::{Obs, ObsHook, TraceKind};
 use spin_sal::{lanes, Host, HostId, MailFate, Nanos};
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// One kernel shard: a host plus the executor pumping it.
+#[derive(Clone)]
 pub struct Shard {
     /// The simulated host (own clock, timers, mailbox).
     pub host: Host,
@@ -111,7 +131,7 @@ impl SpinBarrier {
     }
 }
 
-/// The multicore runtime: shards plus the epoch coordinator.
+/// The multicore runtime: shards plus their epoch planner.
 pub struct Multicore {
     shards: Vec<Shard>,
     workers: usize,
@@ -293,118 +313,150 @@ impl Multicore {
         if self.shards.is_empty() {
             return IdleOutcome::AllComplete;
         }
+        let run = Arc::new(Epochs {
+            shards: self.shards.clone(),
+            lookahead: self.lookahead,
+            deadline,
+            epochs: self.epochs.clone(),
+            shard_runs: self.shard_runs.clone(),
+            obs: self.obs.get().cloned(),
+            plan: Mutex::new(Plan::default()),
+        });
         let workers = self.workers.min(self.shards.len());
         if workers <= 1 {
-            loop {
-                match self.plan_epoch(deadline) {
-                    EpochPlan::Done(outcome) => return outcome,
-                    EpochPlan::Run(plan) => {
-                        for &(idx, grant) in &plan {
-                            self.run_shard(idx, grant);
-                        }
-                    }
-                }
-            }
+            // One cursor walks every epoch: the strand that ends a shard's
+            // slice drains the next shard's mail and plans the next epoch.
+            return Drive::new(Box::new(Walk::new(run, 0, 1, true))).run();
         }
-        // Parallel mode: worker 0 (this thread) coordinates; all workers,
-        // coordinator included, execute their round-robin share of each
-        // epoch's plan between two barriers.
+        // Parallel mode: worker 0 (this thread) plans; every worker,
+        // planner included, walks its round-robin share of each epoch's
+        // plan between two barriers. A single-shard plan is worker 0's
+        // alone, so it runs without the barriers.
         let barrier = SpinBarrier::new(workers as u64);
-        let plan_cell: spin_check::sync::Mutex<Vec<(usize, Nanos)>> =
-            spin_check::sync::Mutex::new(Vec::new());
         let stop = AtomicBool::new(false);
+        let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+        let walk = |drive: &Arc<Drive>| {
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| drive.run())) {
+                panicked.lock().get_or_insert(payload);
+            }
+        };
         let mut outcome = IdleOutcome::AllComplete;
         std::thread::scope(|scope| {
             for w in 1..workers {
-                let barrier = &barrier;
-                let plan_cell = &plan_cell;
-                let stop = &stop;
-                let this = &*self;
+                let (barrier, stop, walk) = (&barrier, &stop, &walk);
+                let drive = Drive::new(Box::new(Walk::new(run.clone(), w, workers, false)));
                 scope.spawn(move || loop {
                     barrier.wait(); // plan published
-                                    // ordering: Acquire — pairs with the coordinator's Release store; after it, no plan will follow.
+                                    // ordering: Acquire — pairs with the planner's Release store; after it, no plan will follow.
                     if stop.load(Ordering::Acquire) {
                         break;
                     }
-                    let plan = plan_cell.lock().clone();
-                    for (k, &(idx, grant)) in plan.iter().enumerate() {
-                        if k % workers == w {
-                            this.run_shard(idx, grant);
-                        }
-                    }
+                    walk(&drive);
                     barrier.wait(); // epoch complete
                 });
             }
+            let drive = Drive::new(Box::new(Walk::new(run.clone(), 0, workers, false)));
             loop {
-                match self.plan_epoch(deadline) {
-                    EpochPlan::Done(out) => {
-                        outcome = out;
-                        stop.store(true, Ordering::Release); // ordering: Release — published before the barrier opens so workers observing the open barrier see the stop flag.
-                        barrier.wait();
-                        break;
-                    }
-                    EpochPlan::Run(plan) => {
-                        *plan_cell.lock() = plan.clone();
+                if let Some(out) = run.plan_epoch() {
+                    outcome = out;
+                } else {
+                    let solo = run.plan.lock().items.len() == 1;
+                    if !solo {
                         barrier.wait(); // release the plan
-                        for (k, &(idx, grant)) in plan.iter().enumerate() {
-                            if k % workers == 0 {
-                                self.run_shard(idx, grant);
-                            }
-                        }
+                    }
+                    walk(&drive);
+                    if !solo {
                         barrier.wait(); // wait for the epoch
                     }
+                    if panicked.lock().is_none() {
+                        continue;
+                    }
                 }
+                stop.store(true, Ordering::Release); // ordering: Release — published before the barrier opens so workers observing the open barrier see the stop flag.
+                barrier.wait();
+                break;
             }
         });
+        if let Some(payload) = panicked.lock().take() {
+            std::panic::resume_unwind(payload);
+        }
         outcome
     }
+}
 
-    /// Computes one epoch's plan: `(shard index, grant)` for every shard
-    /// cleared to run. A pure function of deterministic virtual-time state.
-    fn plan_epoch(&self, deadline: Nanos) -> EpochPlan {
+/// One run's view of the runtime, shared with the strand threads that
+/// advance its cursor: the shards, the run's deadline and counters, and
+/// the planner's buffers, reused across epochs.
+struct Epochs {
+    shards: Vec<Shard>,
+    lookahead: Nanos,
+    deadline: Nanos,
+    epochs: Arc<AtomicU64>,
+    shard_runs: Arc<AtomicU64>,
+    obs: Option<ObsHook>,
+    plan: Mutex<Plan>,
+}
+
+/// The planner's buffers.
+#[derive(Default)]
+struct Plan {
+    /// `n_i` per shard (see the module docs).
+    horizons: Vec<Option<Nanos>>,
+    /// The epoch's `(shard index, grant)` items, in shard order.
+    items: Vec<(usize, Nanos)>,
+}
+
+impl Epochs {
+    /// Plans the next epoch into `plan.items`: `(shard index, grant)` for
+    /// every shard cleared to run, or the run's outcome once none is. A
+    /// pure function of deterministic virtual-time state.
+    fn plan_epoch(&self) -> Option<IdleOutcome> {
         let l = self.lookahead;
-        let next: Vec<Option<Nanos>> = self
-            .shards
-            .iter()
-            .map(|sh| {
-                let local = sh.exec.next_event_time();
-                let mail = sh
-                    .host
-                    .mailbox
-                    .next_deadline()
-                    .map(|t| t.max(sh.host.clock.now()));
-                match (local, mail) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                }
-            })
-            .collect();
-        let Some(gvt) = next.iter().flatten().min().copied() else {
-            return EpochPlan::Done(self.final_outcome());
+        let mut plan = self.plan.lock();
+        let Plan { horizons, items } = &mut *plan;
+        horizons.clear();
+        items.clear();
+        horizons.extend(self.shards.iter().map(|sh| {
+            let local = sh.exec.next_event_time();
+            let mail = sh
+                .host
+                .mailbox
+                .next_deadline()
+                .map(|t| t.max(sh.host.clock.now()));
+            match (local, mail) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            }
+        }));
+        let Some(gvt) = horizons.iter().flatten().min().copied() else {
+            return Some(self.final_outcome());
         };
-        if gvt >= deadline {
-            return EpochPlan::Done(IdleOutcome::DeadlineReached);
+        if gvt >= self.deadline {
+            return Some(IdleOutcome::DeadlineReached);
         }
         self.epochs.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        if let Some(obs) = self.obs.get() {
+        if let Some(obs) = &self.obs {
             obs.trace(TraceKind::ShardEpoch, gvt, 0);
         }
         // An idle shard can first *send* no earlier than GVT + L (it must
-        // first be woken by mail).
-        let eff: Vec<Nanos> = next
-            .iter()
-            .map(|n| n.unwrap_or_else(|| gvt.saturating_add(l)))
-            .collect();
-        let mut plan = Vec::new();
-        for (i, n_i) in next.iter().enumerate() {
+        // first be woken by mail). Each shard's grant needs the least
+        // effective horizon among its peers: the overall least, or the
+        // second least for the shard holding the least.
+        let effective = |n: &Option<Nanos>| n.unwrap_or_else(|| gvt.saturating_add(l));
+        let (mut least, mut least_at, mut second) = (Nanos::MAX, usize::MAX, Nanos::MAX);
+        for (j, e) in horizons.iter().map(effective).enumerate() {
+            if e < least {
+                (second, least, least_at) = (least, e, j);
+            } else if e < second {
+                second = e;
+            }
+        }
+        for (i, n_i) in horizons.iter().enumerate() {
             let Some(n_i) = *n_i else { continue };
-            let grant = match eff
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, &e)| e)
-                .min()
-            {
+            let grant = if self.shards.len() == 1 {
+                self.deadline // single shard: no one to wait for
+            } else {
+                let peers = if i == least_at { second } else { least };
                 // Beyond the peers' own horizons, a peer can also be woken
                 // by mail *this* shard sends (earliest at `n_i`); its
                 // reply lands no sooner than `n_i + 2L` — one lookahead
@@ -413,35 +465,30 @@ impl Multicore {
                 // a TCP segment arriving tens of milliseconds stale when
                 // the peer's only local horizon was a distant
                 // retransmission timer).
-                Some(m) => l
-                    .saturating_add(m)
+                l.saturating_add(peers)
                     .min(n_i.saturating_add(2 * l))
-                    .min(deadline),
-                None => deadline, // single shard: no one to wait for
+                    .min(self.deadline)
             };
             if n_i < grant {
-                plan.push((i, grant));
+                items.push((i, grant));
             }
         }
-        debug_assert!(!plan.is_empty(), "the GVT shard always qualifies");
-        EpochPlan::Run(plan)
+        debug_assert!(!items.is_empty(), "the GVT shard always qualifies");
+        None
     }
 
-    /// Runs one shard for one epoch: move due mail to the local timer
-    /// queue, then execute up to the grant.
-    fn run_shard(&self, idx: usize, grant: Nanos) {
+    /// Enters one shard's item: move its due mail to the local timer
+    /// queue; the cursor then executes it up to the grant.
+    fn enter(&self, idx: usize) -> Arc<Executor> {
         self.shard_runs.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
         let sh = &self.shards[idx];
-        let obs = self.obs.get();
         for env in sh.host.mailbox.drain() {
-            if let Some(obs) = obs {
+            if let Some(obs) = &self.obs {
                 obs.trace(TraceKind::MailDeliver, env.lane, env.deliver_at);
             }
             sh.host.timers.schedule_at(env.deliver_at, env.action);
         }
-        // The per-shard outcome is not the system outcome: a "deadlocked"
-        // shard may be woken by mail in a later epoch. `plan_epoch` decides.
-        let _ = sh.exec.run_until(grant);
+        sh.exec.clone()
     }
 
     /// All shards idle and no mail in flight: done. Blocked non-daemon
@@ -461,9 +508,49 @@ impl Multicore {
     }
 }
 
-enum EpochPlan {
-    Done(IdleOutcome),
-    Run(Vec<(usize, Nanos)>),
+/// A cursor's walk over a run's epoch plans: items `first`, `first +
+/// stride`, ... of each plan. With `replan`, the walk plans the next epoch
+/// itself after its last item and ends with the run; without, it ends with
+/// its share of the current plan.
+struct Walk {
+    run: Arc<Epochs>,
+    first: usize,
+    stride: usize,
+    replan: bool,
+    next: usize,
+}
+
+impl Walk {
+    fn new(run: Arc<Epochs>, first: usize, stride: usize, replan: bool) -> Walk {
+        Walk {
+            run,
+            first,
+            stride,
+            replan,
+            next: first,
+        }
+    }
+}
+
+impl Items for Walk {
+    fn next(&mut self, _ended: Option<IdleOutcome>) -> Result<(Arc<Executor>, Nanos), IdleOutcome> {
+        // A shard's own outcome is not the run's: a "deadlocked" shard may
+        // be woken by mail in a later epoch. `plan_epoch` decides.
+        loop {
+            let item = self.run.plan.lock().items.get(self.next).copied();
+            if let Some((idx, grant)) = item {
+                self.next += self.stride;
+                return Ok((self.run.enter(idx), grant));
+            }
+            self.next = self.first;
+            if !self.replan {
+                return Err(IdleOutcome::AllComplete);
+            }
+            if let Some(outcome) = self.run.plan_epoch() {
+                return Err(outcome);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

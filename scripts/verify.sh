@@ -148,6 +148,27 @@ if grep -rn '\.udp_bind(\|\.udp_channel(' crates/ examples/ --include='*.rs' \
     exit 1
 fi
 
+echo "==> perfbench: host-cost workloads keep their virtual outputs"
+# The two-clock benchmark's own tests, then one short run of each
+# workload at seed 0. A run must report "correct": true and print the
+# virtual-output digest checked in at scripts/goldens/perfbench_digests.txt:
+# work that cuts the host's cost of simulating (strand handoff, epoch
+# planning) may move wall-clock figures, never a virtual output.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+grep -v '^#' scripts/goldens/perfbench_digests.txt | while read -r workload digest; do
+    out="$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 0 --seconds 1 --trace 0)"
+    echo "$out" | tail -n 1 | grep -q '"correct": true' || {
+        echo "verify: perfbench $workload did not report a correct run" >&2
+        exit 1
+    }
+    echo "$out" | grep -qx "virtual-output digest: $digest" || {
+        echo "verify: perfbench $workload digest diverged from perfbench_digests.txt" >&2
+        exit 1
+    }
+    echo "    perfbench $workload: correct, digest $digest"
+done
+
 echo "==> spin-lint: token-level safety & determinism gate"
 # The six-rule verifier (D1 determinism, D2 hash iteration, F1 sync
 # facade, O1 ordering justifications, U1 unsafe containment, C1 charge
