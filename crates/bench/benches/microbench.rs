@@ -8,11 +8,26 @@
 //! constant-time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use spin_core::{Dispatcher, Identity, Interface, NameServer};
+use spin_core::{Dispatcher, Event, Identity, Interface, NameServer};
 use spin_rt::KernelHeap;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Benchmarks `raise` on a fresh event with one primary handler — the
+/// dispatcher's fast path — after `wire` has attached whatever hook the
+/// ablation prices to the dispatcher or the event.
+fn bench_probe_raise(
+    g: &mut criterion::BenchmarkGroup<'_>,
+    name: &str,
+    wire: impl FnOnce(&Dispatcher, &Event<u64, u64>),
+) {
+    let d = Dispatcher::unmetered();
+    let (ev, owner) = d.define::<u64, u64>("probe", Identity::kernel("b"));
+    owner.set_primary(|x| x + 1).expect("fresh");
+    wire(&d, &ev);
+    g.bench_function(name, |b| b.iter(|| ev.raise(black_box(1)).expect("ok")));
+}
 
 fn bench_dispatch(c: &mut Criterion) {
     let mut g = c.benchmark_group("dispatch");
@@ -20,12 +35,7 @@ fn bench_dispatch(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(150));
 
     // Ablation: the direct-call fast path vs the guarded slow path.
-    let d = Dispatcher::unmetered();
-    let (fast, owner) = d.define::<u64, u64>("fast", Identity::kernel("b"));
-    owner.set_primary(|x| x + 1).expect("fresh");
-    g.bench_function("fast_path_single_handler", |b| {
-        b.iter(|| fast.raise(black_box(1)).expect("ok"))
-    });
+    bench_probe_raise(&mut g, "fast_path_single_handler", |_, _| {});
 
     for guards in [1usize, 10, 50] {
         let d = Dispatcher::unmetered();
@@ -43,52 +53,6 @@ fn bench_dispatch(c: &mut Criterion) {
     // Baseline: a plain dynamic call, for the "procedure-call-grade" claim.
     let f: Arc<dyn Fn(u64) -> u64 + Send + Sync> = Arc::new(|x| x + 1);
     g.bench_function("plain_indirect_call", |b| b.iter(|| f(black_box(1))));
-    g.finish();
-}
-
-/// Ablation (DESIGN.md #5): the snapshot raise path vs the locked-clone
-/// baseline it replaced. `raise` resolves through the handle's cached weak
-/// reference and clones one `Arc` snapshot; `raise_locked_baseline`
-/// re-emulates the old path — global-table lookup, handler-vector deep
-/// clone under the event mutex, a second lock for statistics. Identical
-/// semantics and virtual-time charges; the wall-clock gap is the payoff.
-fn bench_dispatch_snapshot(c: &mut Criterion) {
-    let mut g = c.benchmark_group("dispatch_snapshot");
-    g.measurement_time(Duration::from_millis(400))
-        .warm_up_time(Duration::from_millis(150));
-
-    // Fast path: one unguarded synchronous handler.
-    let d = Dispatcher::unmetered();
-    let (ev, owner) = d.define::<u64, u64>("fast", Identity::kernel("b"));
-    owner.set_primary(|x| x + 1).expect("fresh");
-    g.bench_function("snapshot/fast_path", |b| {
-        b.iter(|| ev.raise(black_box(1)).expect("ok"))
-    });
-    g.bench_function("locked_clone/fast_path", |b| {
-        b.iter(|| d.raise_locked_baseline(&ev, black_box(1)).expect("ok"))
-    });
-
-    // Slow path with guard load: the deep clone the baseline pays per
-    // raise grows with installed handlers; the snapshot does not.
-    for guards in [10usize, 50] {
-        let d = Dispatcher::unmetered();
-        let (ev, owner) = d.define::<u64, u64>("guarded", Identity::kernel("b"));
-        owner.set_primary(|x| x + 1).expect("fresh");
-        for _ in 0..guards {
-            ev.install_guarded(Identity::extension("w"), |_| false, |x| *x)
-                .expect("ok");
-        }
-        g.bench_with_input(
-            BenchmarkId::new("snapshot/guards", guards),
-            &guards,
-            |b, _| b.iter(|| ev.raise(black_box(1)).expect("ok")),
-        );
-        g.bench_with_input(
-            BenchmarkId::new("locked_clone/guards", guards),
-            &guards,
-            |b, _| b.iter(|| d.raise_locked_baseline(&ev, black_box(1)).expect("ok")),
-        );
-    }
     g.finish();
 }
 
@@ -218,27 +182,16 @@ fn bench_obs(c: &mut Criterion) {
     g.measurement_time(Duration::from_millis(400))
         .warm_up_time(Duration::from_millis(150));
 
-    let raise_bench =
-        |g: &mut criterion::BenchmarkGroup<'_>, name: &str, obs: Option<spin_obs::Obs>| {
-            let d = Dispatcher::unmetered();
-            if let Some(obs) = &obs {
-                d.set_obs(obs.domain("dispatcher"));
-            }
-            let (ev, owner) = d.define::<u64, u64>("probe", Identity::kernel("b"));
-            owner.set_primary(|x| x + 1).expect("fresh");
-            g.bench_function(name, |b| b.iter(|| ev.raise(black_box(1)).expect("ok")));
-        };
-    raise_bench(&mut g, "raise/unwired", None);
+    let raise_bench = |g: &mut criterion::BenchmarkGroup<'_>, name: &str, obs: spin_obs::Obs| {
+        bench_probe_raise(g, name, |d, _| d.set_obs(obs.domain("dispatcher")))
+    };
+    bench_probe_raise(&mut g, "raise/unwired", |_, _| {});
     let off = spin_obs::Obs::new(65536);
     off.set_recording(false);
-    raise_bench(&mut g, "raise/wired_recorder_off", Some(off));
-    raise_bench(
-        &mut g,
-        "raise/recording_64k",
-        Some(spin_obs::Obs::new(65536)),
-    );
+    raise_bench(&mut g, "raise/wired_recorder_off", off);
+    raise_bench(&mut g, "raise/recording_64k", spin_obs::Obs::new(65536));
     // Capacity 1 maximizes drop-oldest churn: the worst-case ring cost.
-    raise_bench(&mut g, "raise/recording_cap1", Some(spin_obs::Obs::new(1)));
+    raise_bench(&mut g, "raise/recording_cap1", spin_obs::Obs::new(1));
 
     // The raw hook primitives, isolated from dispatch.
     let obs = spin_obs::Obs::new(65536);
@@ -274,22 +227,15 @@ fn bench_fault(c: &mut Criterion) {
     g.measurement_time(Duration::from_millis(400))
         .warm_up_time(Duration::from_millis(150));
 
-    let raise_bench =
-        |g: &mut criterion::BenchmarkGroup<'_>, name: &str, plan: Option<FaultPlan>| {
-            let d = Dispatcher::unmetered();
-            if let Some(p) = &plan {
-                d.set_fault_hook(p.hook(SITE_DISPATCH));
-            }
-            let (ev, owner) = d.define::<u64, u64>("probe", Identity::kernel("b"));
-            owner.set_primary(|x| x + 1).expect("fresh");
-            g.bench_function(name, |b| b.iter(|| ev.raise(black_box(1)).expect("ok")));
-        };
-    raise_bench(&mut g, "raise/unwired", None);
+    let raise_bench = |g: &mut criterion::BenchmarkGroup<'_>, name: &str, plan: FaultPlan| {
+        bench_probe_raise(g, name, |d, _| d.set_fault_hook(plan.hook(SITE_DISPATCH)))
+    };
+    bench_probe_raise(&mut g, "raise/unwired", |_, _| {});
     let disabled = FaultPlan::new(0);
     disabled.set_enabled(false);
-    raise_bench(&mut g, "raise/wired_disabled", Some(disabled));
+    raise_bench(&mut g, "raise/wired_disabled", disabled);
     // Armed with no rates configured: the full decision path, no firing.
-    raise_bench(&mut g, "raise/armed_zero_rates", Some(FaultPlan::new(0)));
+    raise_bench(&mut g, "raise/armed_zero_rates", FaultPlan::new(0));
 
     // The contained-fault slow case: a handler that panics on every
     // raise, with the breaker sinking (but never tripping on) the fault.
@@ -345,19 +291,11 @@ fn bench_quota(c: &mut Criterion) {
     g.measurement_time(Duration::from_millis(400))
         .warm_up_time(Duration::from_millis(150));
 
-    let raise_bench = |g: &mut criterion::BenchmarkGroup<'_>, name: &str, metered: bool| {
-        let d = Dispatcher::unmetered();
-        let (ev, owner) = d.define::<u64, u64>("probe", Identity::kernel("b"));
-        owner.set_primary(|x| x + 1).expect("fresh");
-        if metered {
-            let ledger = QuotaLedger::new();
-            let cell = ledger.register("tenant", QuotaSpec::default());
-            assert_eq!(ev.bind_quota(cell), Ok(true));
-        }
-        g.bench_function(name, |b| b.iter(|| ev.raise(black_box(1)).expect("ok")));
-    };
-    raise_bench(&mut g, "raise/unbound", false);
-    raise_bench(&mut g, "raise/bound_unlimited", true);
+    bench_probe_raise(&mut g, "raise/unbound", |_, _| {});
+    bench_probe_raise(&mut g, "raise/bound_unlimited", |_, ev| {
+        let cell = QuotaLedger::new().register("tenant", QuotaSpec::default());
+        assert_eq!(ev.bind_quota(cell), Ok(true));
+    });
 
     // The refused paths: a throttled raise (Normal, budget spent) and a
     // shed raise (Shedding) never reach the handler at all.
@@ -463,7 +401,6 @@ fn bench_sched(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_dispatch,
-    bench_dispatch_snapshot,
     bench_linking,
     bench_capabilities,
     bench_gc,

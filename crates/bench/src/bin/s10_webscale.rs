@@ -32,12 +32,15 @@
 //! and is golden-diffed byte-for-byte by `scripts/verify.sh`.
 
 use parking_lot::Mutex;
+use spin_bench::storm::{
+    assert_books_close, digest, mix, shard_stack, sweep_workers, LatencyDigest,
+};
 use spin_bench::{render_table, us, JsonReport, Row};
-use spin_core::{Dispatcher, QuotaLedger, QuotaSnapshot, QuotaSpec};
+use spin_core::{QuotaLedger, QuotaSnapshot, QuotaSpec};
 use spin_fs::{BufferCache, FileSystem, HybridBySize, NoCachePolicy, WebCache};
 use spin_net::{
-    AddressMap, Bytes, HttpConfig, HttpServer, HttpStats, IpAddr, Medium, NetStack, NetStats,
-    Request, Response, TcpStack,
+    AddressMap, Bytes, HttpConfig, HttpServer, HttpStats, Medium, NetStats, Request, Response,
+    TcpStack,
 };
 use spin_sal::{MulticoreBoard, Nanos};
 use spin_sched::{IdleOutcome, Multicore};
@@ -81,15 +84,6 @@ const SLOW_HOLD: Nanos = 800_000_000;
 const WARM_AT: Nanos = 250_000_000;
 const STORM_AT: Nanos = 400_000_000;
 
-/// splitmix64 — deterministic heavy-tail draws and order-independent
-/// latency checksums.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Heavy-tailed think gap: mostly 40–200 µs, every 16th a 2 ms pause.
 fn think_gap(seq: u64) -> Nanos {
     let x = mix(seq ^ 0x5eed_0bad);
@@ -131,37 +125,6 @@ fn parse_status(resp: &[u8]) -> u16 {
         .unwrap_or(0)
 }
 
-/// Order-independent digest plus the percentiles of one latency stream.
-#[derive(Debug, PartialEq, Eq)]
-struct LatencyDigest {
-    count: u64,
-    sum: Nanos,
-    xor: u64,
-    p50: Nanos,
-    p99: Nanos,
-    max: Nanos,
-}
-
-fn digest(latencies: &[Nanos]) -> LatencyDigest {
-    let mut sorted = latencies.to_vec();
-    sorted.sort_unstable();
-    let pct = |p: usize| -> Nanos {
-        if sorted.is_empty() {
-            0
-        } else {
-            sorted[(sorted.len() * p / 100).min(sorted.len() - 1)]
-        }
-    };
-    LatencyDigest {
-        count: latencies.len() as u64,
-        sum: latencies.iter().sum(),
-        xor: latencies.iter().fold(0, |acc, &l| acc ^ mix(l)),
-        p50: pct(50),
-        p99: pct(99),
-        max: pct(100),
-    }
-}
-
 /// One client shard's view of the storm.
 #[derive(Debug, PartialEq, Eq)]
 struct ShardOut {
@@ -189,11 +152,6 @@ struct VirtualOutputs {
     wires: [(u64, u64); 3],
 }
 
-struct RunResult {
-    virt: VirtualOutputs,
-    wall_ms: f64,
-}
-
 #[derive(Default)]
 struct Counters {
     ok: AtomicU64,
@@ -203,7 +161,10 @@ struct Counters {
     connect_failed: AtomicU64,
 }
 
-fn run(workers: usize, per_shard: u64) -> RunResult {
+/// One storm of `per_shard` connections per client shard at `workers`
+/// threads: its virtual outputs and the wall-clock milliseconds of the
+/// barrier loop.
+fn run(workers: usize, per_shard: u64) -> (VirtualOutputs, f64) {
     let board = MulticoreBoard::new();
     let mut mc = Multicore::new(workers, board.lookahead());
     let addrs = AddressMap::new();
@@ -212,19 +173,7 @@ fn run(workers: usize, per_shard: u64) -> RunResult {
     let mut execs = Vec::new();
     let mut tcps = Vec::new();
     for n in 0..=(CLIENT_SHARDS as u8) {
-        let host = board.new_host(256);
-        let exec = mc.add_host(host.clone());
-        let disp = Dispatcher::new(host.clock.clone(), host.profile.clone());
-        mc.wire_dispatcher(&disp, host.id);
-        let stack = NetStack::install(
-            &host,
-            &exec,
-            &disp,
-            &addrs,
-            IpAddr::new(10, 0, 0, n + 1),
-            IpAddr::new(10, 1, 0, n + 1),
-            IpAddr::new(10, 2, 0, n + 1),
-        );
+        let (host, exec, stack) = shard_stack(&board, &mut mc, &addrs, 0, n + 1);
         tcps.push(TcpStack::install(&stack));
         stacks.push((host, stack));
         execs.push(exec);
@@ -420,12 +369,7 @@ fn run(workers: usize, per_shard: u64) -> RunResult {
     // Quota ledger reconciliation (PR-8's identity, held exact).
     let quota = cell.snapshot();
     assert_eq!(quota.attempts, http.requests);
-    assert_eq!(
-        quota.attempts,
-        quota.admitted + quota.throttled + quota.shed + quota.held
-    );
-    assert_eq!(quota.admitted, quota.completed);
-    assert_eq!(quota.in_flight, 0);
+    assert_books_close("http", &quota);
     assert_eq!(quota.throttled + quota.shed, http.shed);
 
     // Zero loss anywhere in the fabric.
@@ -436,8 +380,8 @@ fn run(workers: usize, per_shard: u64) -> RunResult {
     let stats = mc.stats();
     assert_eq!(stats.mail_dropped, 0, "zero dropped cross-shard envelopes");
 
-    RunResult {
-        virt: VirtualOutputs {
+    (
+        VirtualOutputs {
             shards: shards_out,
             http,
             quota,
@@ -452,7 +396,7 @@ fn run(workers: usize, per_shard: u64) -> RunResult {
             wires,
         },
         wall_ms,
-    }
+    )
 }
 
 fn main() {
@@ -460,60 +404,51 @@ fn main() {
     // total): the flat-cost criterion compares wall-clock per connection
     // at the bottom and top rungs.
     let ladder = [("1e3", 91u64), ("1e4", 909), ("1e5", 9091)];
-    let mut rungs: Vec<(&str, u64, RunResult, f64)> = Vec::new();
+    let mut rungs: Vec<(&str, u64, VirtualOutputs, f64)> = Vec::new();
     for &(label, per_shard) in &ladder {
         let t0 = Instant::now();
-        let r = run(1, per_shard);
+        let (virt, wall_ms) = run(1, per_shard);
         let total = per_shard * CLIENT_SHARDS as u64;
         let us_per_conn = t0.elapsed().as_secs_f64() * 1e6 / total as f64;
         println!(
             "{label}: {total} conns, wall {:.0} ms ({us_per_conn:.1} µs/conn), \
              virt clock0 {:.0} ms, epochs {}",
-            r.wall_ms,
-            r.virt.clocks[0] as f64 / 1e6,
-            r.virt.epochs,
+            wall_ms,
+            virt.clocks[0] as f64 / 1e6,
+            virt.epochs,
         );
-        rungs.push((label, total, r, us_per_conn));
+        rungs.push((label, total, virt, us_per_conn));
     }
 
     // The storm: ~10^6 connections, swept at 1, 2 and 4 workers — every
     // virtual output must be byte-identical; only the wall clock moves.
     const STORM_PER_SHARD: u64 = 90_910;
     let storm_total = STORM_PER_SHARD * CLIENT_SHARDS as u64;
-    let storm_runs: Vec<(usize, RunResult, f64)> = [1usize, 2, 4]
-        .iter()
-        .map(|&w| {
-            let t0 = Instant::now();
-            let r = run(w, STORM_PER_SHARD);
-            let us_per_conn = t0.elapsed().as_secs_f64() * 1e6 / storm_total as f64;
-            println!(
-                "1e6 ({w}w): {storm_total} conns, wall {:.0} ms ({us_per_conn:.1} µs/conn), \
-                 virt clock0 {:.0} ms, epochs {}",
-                r.wall_ms,
-                r.virt.clocks[0] as f64 / 1e6,
-                r.virt.epochs,
-            );
-            (w, r, us_per_conn)
-        })
-        .collect();
-    let storm = &storm_runs[0].1;
-    for (w, r, _) in &storm_runs[1..] {
-        assert_eq!(
-            r.virt, storm.virt,
-            "virtual outputs diverged at {w} workers — the barrier is broken"
+    let mut us_per_conn = Vec::new();
+    let storm_runs = sweep_workers("storm", |w| {
+        let t0 = Instant::now();
+        let (virt, wall_ms) = run(w, STORM_PER_SHARD);
+        let per_conn = t0.elapsed().as_secs_f64() * 1e6 / storm_total as f64;
+        println!(
+            "1e6 ({w}w): {storm_total} conns, wall {wall_ms:.0} ms ({per_conn:.1} µs/conn), \
+             virt clock0 {:.0} ms, epochs {}",
+            virt.clocks[0] as f64 / 1e6,
+            virt.epochs,
         );
-    }
+        us_per_conn.push(per_conn);
+        (virt, wall_ms)
+    });
 
     // Flat cost: per-connection wall-clock at 10^6 within 2× of 10^3.
     let base = rungs[0].3;
-    let top = storm_runs[0].2;
+    let top = us_per_conn[0];
     assert!(
         top <= 2.0 * base,
         "per-connection wall-clock grew {top:.1} µs vs {base:.1} µs at 10^3 \
          — more than 2× up the ladder"
     );
 
-    let v = &storm.virt;
+    let v = &storm_runs[0].1;
     let (ok, shed, slow) = v.shards.iter().fold((0u64, 0u64, 0u64), |(a, b, c), s| {
         (a + s.ok, b + s.shed, c + s.slow)
     });
@@ -543,11 +478,6 @@ fn main() {
         "\nBooks close exactly (client/server/quota/wire); outputs byte-identical \
          at 1/2/4 workers."
     );
-    let walls: Vec<String> = storm_runs
-        .iter()
-        .map(|(w, r, _)| format!("{w}w {:.1}ms", r.wall_ms))
-        .collect();
-    println!("wall-clock (storm): {}", walls.join(", "));
 
     JsonReport::new(
         "webscale",
@@ -561,9 +491,9 @@ fn main() {
     .number("server_timeouts", v.http.timeouts as f64)
     .number("quota_attempts", v.quota.attempts as f64)
     .number("quota_admitted", v.quota.admitted as f64)
-    .number("ladder_1e3_virt_ms", rungs[0].2.virt.clocks[0] as f64 / 1e6)
-    .number("ladder_1e4_virt_ms", rungs[1].2.virt.clocks[0] as f64 / 1e6)
-    .number("ladder_1e5_virt_ms", rungs[2].2.virt.clocks[0] as f64 / 1e6)
+    .number("ladder_1e3_virt_ms", rungs[0].2.clocks[0] as f64 / 1e6)
+    .number("ladder_1e4_virt_ms", rungs[1].2.clocks[0] as f64 / 1e6)
+    .number("ladder_1e5_virt_ms", rungs[2].2.clocks[0] as f64 / 1e6)
     .text("workers_checked", "1/2/4 byte-identical at 10^6")
     .text(
         "reconciliation",

@@ -24,58 +24,22 @@
 
 use std::time::Instant;
 
+use spin_bench::workloads::{watcher_rtt, Guards, Wiring};
 use spin_bench::{render_table, us, JsonReport, Row};
 use spin_core::{Dispatcher, Identity, KeyFn};
-use spin_net::{udp_round_trip, Medium, TwoHosts, UdpPacket};
 use spin_sal::Nanos;
 
 /// Guard counts for the scaling sweep.
 const GUARD_COUNTS: [usize; 6] = [1, 10, 50, 100, 250, 500];
 
-/// The echo service's port in [`udp_round_trip`]; keyed watchers guarding
-/// on a different port are logically-false guards, like the paper's "all
-/// guards evaluate to false" configuration.
-const ECHO_PORT: u64 = 7;
-const UNUSED_PORT: u64 = 9;
-
-/// RTT with `extra` opaque (sequentially evaluated) watcher guards on the
-/// server's UDP-arrival event.
-fn rtt_with_guards(extra: usize, guards_pass: bool) -> Nanos {
-    let rig = TwoHosts::new();
-    for i in 0..extra {
-        rig.b
-            .events()
-            .udp_arrived
-            .install_guarded(
-                Identity::extension(&format!("watcher-{i}")),
-                move |_p: &UdpPacket| guards_pass,
-                |_p: &UdpPacket| {},
-            )
-            .expect("install watcher");
-    }
-    udp_round_trip(&rig.exec, &rig.a, &rig.b, Medium::Ethernet, 16, 16)
-}
-
-/// RTT with `extra` keyed (compiled) watcher guards on the same event.
-/// The guards share the stack's destination-port key, so the compiler
-/// indexes all of them; `guards_pass` picks the echo port (every guard
-/// matches) or an unused one (every guard misses).
-fn rtt_with_keyed_guards(extra: usize, guards_pass: bool) -> Nanos {
-    let rig = TwoHosts::new();
-    let port = if guards_pass { ECHO_PORT } else { UNUSED_PORT };
-    for i in 0..extra {
-        rig.b
-            .events()
-            .udp_arrived
-            .install_keyed(
-                Identity::extension(&format!("watcher-{i}")),
-                &rig.b.events().udp_port_key,
-                port,
-                |_p: &UdpPacket| {},
-            )
-            .expect("install keyed watcher");
-    }
-    udp_round_trip(&rig.exec, &rig.a, &rig.b, Medium::Ethernet, 16, 16)
+/// Ethernet RTT over 16 trips with `extra` watcher guards on the server's
+/// UDP-arrival event: opaque closures the dispatcher evaluates one by one
+/// (`keyed: false`), or keyed guards on the stack's destination-port key,
+/// which the compiler indexes (`keyed: true`). With `pass` every guard
+/// matches the echo traffic; without it every guard misses, like the
+/// paper's "all guards evaluate to false" configuration.
+fn rtt(extra: usize, keyed: bool, pass: bool) -> Nanos {
+    watcher_rtt(&Wiring::default(), extra, Guards { keyed, pass }, 16).0
 }
 
 /// A raw-dispatcher event with `n` watcher guards of which exactly one
@@ -201,9 +165,9 @@ fn batch64_speedup() -> f64 {
 }
 
 fn main() {
-    let base = rtt_with_guards(0, false);
-    let false_guards = rtt_with_guards(50, false);
-    let true_guards = rtt_with_guards(50, true);
+    let base = rtt(0, false, false);
+    let false_guards = rtt(50, false, false);
+    let true_guards = rtt(50, false, true);
 
     let mut rows = vec![
         Row::new("Ethernet RTT, no extra handlers", 565.0, us(base)),
@@ -214,8 +178,8 @@ fn main() {
     // (sequential scan) and as keyed guards (compiled index). Virtual
     // time must agree pairwise — compilation is invisible to the clock.
     for n in GUARD_COUNTS {
-        let seq = rtt_with_guards(n, false);
-        let comp = rtt_with_keyed_guards(n, false);
+        let seq = rtt(n, false, false);
+        let comp = rtt(n, true, false);
         assert_eq!(
             seq, comp,
             "keyed watchers must charge the same RTT as opaque watchers at {n} guards"

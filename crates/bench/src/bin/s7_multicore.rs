@@ -17,9 +17,9 @@
 //! `BENCH_multicore.json` says which basis was used.
 
 use parking_lot::Mutex;
+use spin_bench::storm::{shard_stack, sweep_workers};
 use spin_bench::{render_table, us, JsonReport, Row};
-use spin_core::Dispatcher;
-use spin_net::{AddressMap, Forwarder, IpAddr, Medium, NetStack};
+use spin_net::{AddressMap, Forwarder, Medium};
 use spin_sal::{MulticoreBoard, Nanos};
 use spin_sched::{IdleOutcome, Multicore};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,35 +59,18 @@ struct VirtualOutputs {
     mail_drained: u64,
 }
 
-struct RunResult {
-    virt: VirtualOutputs,
-    wall_ms: f64,
-}
-
-fn run(workers: usize) -> RunResult {
+/// One run at `workers` threads: its virtual outputs and the wall-clock
+/// milliseconds of the barrier loop.
+fn run(workers: usize) -> (VirtualOutputs, f64) {
     let board = MulticoreBoard::new();
     let mut mc = Multicore::new(workers, board.lookahead());
     let addrs = AddressMap::new();
     let mut forwarders = Vec::new();
     let mut chains = Vec::new();
     for c in 0..CHAINS {
-        let mut stacks = Vec::new();
-        for n in 1..=3u8 {
-            let host = board.new_host(256);
-            let exec = mc.add_host(host.clone());
-            let disp = Dispatcher::new(host.clock.clone(), host.profile.clone());
-            mc.wire_dispatcher(&disp, host.id);
-            let stack = NetStack::install(
-                &host,
-                &exec,
-                &disp,
-                &addrs,
-                IpAddr::new(10, 0, c as u8, n),
-                IpAddr::new(10, 1, c as u8, n),
-                IpAddr::new(10, 2, c as u8, n),
-            );
-            stacks.push((host, exec, stack));
-        }
+        let mut stacks: Vec<_> = (1..=3u8)
+            .map(|n| shard_stack(&board, &mut mc, &addrs, c as u8, n))
+            .collect();
         let (host_a, exec_a, a) = stacks.remove(0);
         let (_host_b, _exec_b, b) = stacks.remove(0);
         let (_host_c, _exec_c, cstk) = stacks.remove(0);
@@ -136,8 +119,8 @@ fn run(workers: usize) -> RunResult {
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let st = mc.stats();
-    RunResult {
-        virt: VirtualOutputs {
+    (
+        VirtualOutputs {
             chains: chains
                 .iter()
                 .map(|(res, echo)| {
@@ -152,27 +135,21 @@ fn run(workers: usize) -> RunResult {
             mail_drained: st.mail_drained,
         },
         wall_ms,
-    }
+    )
 }
 
 fn main() {
-    let sweep: Vec<(usize, RunResult)> = [1usize, 2, 4].iter().map(|&w| (w, run(w))).collect();
+    let sweep = sweep_workers("forwarding", run);
     let base = &sweep[0].1;
-    for (w, r) in &sweep[1..] {
-        assert_eq!(
-            r.virt, base.virt,
-            "virtual outputs diverged at {w} workers — the barrier is broken"
-        );
-    }
 
-    let rtt = base.virt.chains[0].2;
-    let avg_par = base.virt.shard_runs as f64 / base.virt.epochs as f64;
+    let rtt = base.chains[0].2;
+    let avg_par = base.shard_runs as f64 / base.epochs as f64;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let wall = |w: usize| {
         sweep
             .iter()
-            .find(|(sw, _)| *sw == w)
-            .map(|(_, r)| r.wall_ms)
+            .find(|(sw, _, _)| *sw == w)
+            .map(|(_, _, ms)| *ms)
             .expect("swept")
     };
     let (speedup_4w, basis) = if cores >= 2 {
@@ -192,10 +169,10 @@ fn main() {
         1344.0,
         us(rtt),
     )];
-    for (w, r) in &sweep {
+    for (w, _, wall_ms) in &sweep {
         rows.push(Row::extra(
             &format!("wall-clock, {w} worker(s) (ms)"),
-            r.wall_ms,
+            *wall_ms,
         ));
     }
     rows.push(Row::extra("speedup, 4 workers vs 1", speedup_4w));
@@ -219,7 +196,7 @@ fn main() {
     .number("chains", CHAINS as f64)
     .number("shards", (CHAINS * 3) as f64)
     .number("cores", cores as f64)
-    .number("epochs", base.virt.epochs as f64)
+    .number("epochs", base.epochs as f64)
     .number("avg_parallelism", avg_par)
     .number("wall_ms_1w", wall(1))
     .number("wall_ms_2w", wall(2))

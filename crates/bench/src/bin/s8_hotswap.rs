@@ -27,9 +27,10 @@
 //! and is golden-diffed byte-for-byte by `scripts/verify.sh`.
 
 use parking_lot::Mutex;
+use spin_bench::storm::{mix, shard_stack, sweep_workers};
 use spin_bench::{render_table, us, JsonReport, Row};
-use spin_core::{Dispatcher, GatedEvent};
-use spin_net::{AddressMap, Forwarder, IpAddr, Medium, NetStack};
+use spin_core::GatedEvent;
+use spin_net::{AddressMap, Forwarder, Medium};
 use spin_sal::{MulticoreBoard, Nanos};
 use spin_sched::{IdleOutcome, Multicore};
 use spin_swap::{SwapCoordinator, SwapReport, SwapSession, UndoAction};
@@ -50,14 +51,6 @@ const T_QUIESCE: Nanos = 200_000_000;
 const T_COMMIT: Nanos = 1_500_000_000;
 /// The "mid-storm" gate from the acceptance bar.
 const MIN_IN_FLIGHT: u64 = 10_000;
-
-/// splitmix64 — order-independent payload checksum ingredient.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Outputs that must match between the hot-swapped and uninterrupted
 /// runs: counts, order-independent checksums, flow-table totals. No
@@ -91,32 +84,15 @@ struct VirtualOutputs {
     generation: u64,
 }
 
-struct RunResult {
-    virt: VirtualOutputs,
-    wall_ms: f64,
-}
-
-fn run(workers: usize, swap: bool) -> RunResult {
+/// One storm at `workers` threads, hot-swapped mid-storm if `swap`: its
+/// virtual outputs and the wall-clock milliseconds of the barrier loop.
+fn run(workers: usize, swap: bool) -> (VirtualOutputs, f64) {
     let board = MulticoreBoard::new();
     let mut mc = Multicore::new(workers, board.lookahead());
     let addrs = AddressMap::new();
-    let mut stacks = Vec::new();
-    for n in 1..=3u8 {
-        let host = board.new_host(256);
-        let exec = mc.add_host(host.clone());
-        let disp = Dispatcher::new(host.clock.clone(), host.profile.clone());
-        mc.wire_dispatcher(&disp, host.id);
-        let stack = NetStack::install(
-            &host,
-            &exec,
-            &disp,
-            &addrs,
-            IpAddr::new(10, 0, 0, n),
-            IpAddr::new(10, 1, 0, n),
-            IpAddr::new(10, 2, 0, n),
-        );
-        stacks.push((host, exec, stack));
-    }
+    let mut stacks: Vec<_> = (1..=3u8)
+        .map(|n| shard_stack(&board, &mut mc, &addrs, 0, n))
+        .collect();
     let (host_a, exec_a, a) = stacks.remove(0);
     let (host_b, _exec_b, b) = stacks.remove(0);
     let (_host_c, _exec_c, c) = stacks.remove(0);
@@ -272,8 +248,8 @@ fn run(workers: usize, swap: bool) -> RunResult {
         assert_eq!(hold.held, 0, "nothing parks without a swap");
     }
 
-    RunResult {
-        virt: VirtualOutputs {
+    (
+        VirtualOutputs {
             sem: Semantics {
                 echo_count: echo_count.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
                 echo_xor: echo_xor.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
@@ -297,27 +273,15 @@ fn run(workers: usize, swap: bool) -> RunResult {
             generation: ev.generation().expect("event alive"),
         },
         wall_ms,
-    }
+    )
 }
 
 fn main() {
     // Each scenario sweeps 1/2/4 workers and must be byte-identical.
-    let sweep = |swap: bool| -> Vec<(usize, RunResult)> {
-        [1usize, 2, 4].iter().map(|&w| (w, run(w, swap))).collect()
-    };
-    let plain = sweep(false);
-    let swapped = sweep(true);
-    for runs in [&plain, &swapped] {
-        let base = &runs[0].1;
-        for (w, r) in &runs[1..] {
-            assert_eq!(
-                r.virt, base.virt,
-                "virtual outputs diverged at {w} workers — the barrier is broken"
-            );
-        }
-    }
-    let base = &plain[0].1.virt;
-    let hot = &swapped[0].1.virt;
+    let plain = sweep_workers("uninterrupted", |w| run(w, false));
+    let swapped = sweep_workers("hot-swapped", |w| run(w, true));
+    let base = &plain[0].1;
+    let hot = &swapped[0].1;
 
     // The online-upgrade promise: the hot-swapped storm's packet counts,
     // checksums and flow totals match the uninterrupted run exactly.
@@ -348,13 +312,6 @@ fn main() {
         "\nZero dropped packets; semantics identical to the uninterrupted run; \
          outputs byte-identical at 1/2/4 workers."
     );
-    for (label, runs) in [("uninterrupted", &plain), ("hot-swapped", &swapped)] {
-        let walls: Vec<String> = runs
-            .iter()
-            .map(|(w, r)| format!("{w}w {:.1}ms", r.wall_ms))
-            .collect();
-        println!("wall-clock ({label}): {}", walls.join(", "));
-    }
 
     JsonReport::new(
         "hotswap",

@@ -43,6 +43,7 @@
 //! and is golden-diffed byte-for-byte by `scripts/verify.sh`.
 
 use parking_lot::Mutex;
+use spin_bench::storm::{assert_books_close, digest, mix, sweep_workers, LatencyDigest};
 use spin_bench::{render_table, us, JsonReport, Row};
 use spin_core::{
     post_with_backpressure, BackoffPolicy, Constraints, Containment, ContainmentPolicy, Dispatcher,
@@ -113,15 +114,6 @@ const P99_SLACK: Nanos = 4_000_000;
 /// Damage bar: the unarmed storm at least quadruples the tenant p99.
 const UNARMED_BLOWUP: u64 = 4;
 
-/// splitmix64 — deterministic heavy-tail draws and order-independent
-/// latency checksums.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Heavy-tailed tenant inter-arrival gap: mostly 100–184 µs, every 16th
 /// a 1.2 ms pause.
 fn tenant_gap(tenant: usize, req: u64) -> Nanos {
@@ -138,37 +130,6 @@ enum Scenario {
     Calm,
     StormUnarmed,
     StormArmed,
-}
-
-/// Order-independent digest plus the percentiles of one latency stream.
-#[derive(Debug, PartialEq, Eq)]
-struct LatencyDigest {
-    count: u64,
-    sum: Nanos,
-    xor: u64,
-    p50: Nanos,
-    p99: Nanos,
-    max: Nanos,
-}
-
-fn digest(latencies: &[Nanos]) -> LatencyDigest {
-    let mut sorted = latencies.to_vec();
-    sorted.sort_unstable();
-    let pct = |p: usize| -> Nanos {
-        if sorted.is_empty() {
-            0
-        } else {
-            sorted[(sorted.len() * p / 100).min(sorted.len() - 1)]
-        }
-    };
-    LatencyDigest {
-        count: latencies.len() as u64,
-        sum: latencies.iter().sum(),
-        xor: latencies.iter().fold(0, |acc, &l| acc ^ mix(l)),
-        p50: pct(50),
-        p99: pct(99),
-        max: pct(100),
-    }
 }
 
 /// Everything a scenario must reproduce exactly at any worker count.
@@ -196,12 +157,9 @@ struct VirtualOutputs {
     mail_dropped: u64,
 }
 
-struct RunResult {
-    virt: VirtualOutputs,
-    wall_ms: f64,
-}
-
-fn run(workers: usize, scenario: Scenario) -> RunResult {
+/// One scenario at `workers` threads: its virtual outputs and the
+/// wall-clock milliseconds of the barrier loop.
+fn run(workers: usize, scenario: Scenario) -> (VirtualOutputs, f64) {
     let armed = scenario == Scenario::StormArmed;
     let storm = scenario != Scenario::Calm;
 
@@ -509,19 +467,13 @@ fn run(workers: usize, scenario: Scenario) -> RunResult {
         .map(|c| (c.name().to_string(), c.snapshot()))
         .collect();
     for (name, s) in &snapshots {
-        assert_eq!(
-            s.attempts,
-            s.admitted + s.throttled + s.shed + s.held,
-            "{name}: the ledger identity must close"
-        );
-        assert_eq!(s.in_flight, 0, "{name}: nothing left in flight at exit");
-        assert_eq!(s.admitted, s.completed, "{name}: every admission completed");
+        assert_books_close(name, s);
     }
 
     let stats = mc.stats();
     let tenant = digest(&tenant_latencies.lock());
-    RunResult {
-        virt: VirtualOutputs {
+    (
+        VirtualOutputs {
             tenant,
             slow_served: slow_served.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
             greedy_heavy: greedy_heavy.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
@@ -544,60 +496,44 @@ fn run(workers: usize, scenario: Scenario) -> RunResult {
             mail_dropped: stats.mail_dropped,
         },
         wall_ms,
-    }
+    )
 }
 
 fn main() {
     // Each scenario sweeps 1/2/4 workers and must be byte-identical.
-    let sweep = |scenario: Scenario| -> Vec<(usize, RunResult)> {
-        [1usize, 2, 4]
-            .iter()
-            .map(|&w| (w, run(w, scenario)))
-            .collect()
-    };
-    let calm_runs = sweep(Scenario::Calm);
-    let unarmed_runs = sweep(Scenario::StormUnarmed);
-    let armed_runs = sweep(Scenario::StormArmed);
-    for runs in [&calm_runs, &unarmed_runs, &armed_runs] {
-        let base = &runs[0].1;
-        for (w, r) in &runs[1..] {
-            assert_eq!(
-                r.virt, base.virt,
-                "virtual outputs diverged at {w} workers — the barrier is broken"
-            );
-        }
-    }
+    let calm_runs = sweep_workers("calm", |w| run(w, Scenario::Calm));
+    let unarmed_runs = sweep_workers("storm unarmed", |w| run(w, Scenario::StormUnarmed));
+    let armed_runs = sweep_workers("storm armed", |w| run(w, Scenario::StormArmed));
     let calm = &calm_runs[0].1;
     let unarmed = &unarmed_runs[0].1;
     let armed = &armed_runs[0].1;
 
     // Every tenant raise served in every scenario — no collateral drops.
     let all_tenant = TENANTS as u64 * TENANT_REQS;
-    for v in [&calm.virt, &unarmed.virt, &armed.virt] {
+    for v in [calm, unarmed, armed] {
         assert_eq!(v.tenant.count, all_tenant, "every tenant raise served");
     }
 
     // Graceful shedding: armed p99 within the fixed bound of calm;
     // unarmed, the same storm blows the tail up many-fold.
     assert!(
-        armed.virt.tenant.p99 <= calm.virt.tenant.p99 + P99_SLACK,
+        armed.tenant.p99 <= calm.tenant.p99 + P99_SLACK,
         "armed tenant p99 {} exceeds calm {} + {}",
-        armed.virt.tenant.p99,
-        calm.virt.tenant.p99,
+        armed.tenant.p99,
+        calm.tenant.p99,
         P99_SLACK
     );
     assert!(
-        unarmed.virt.tenant.p99 >= armed.virt.tenant.p99 * UNARMED_BLOWUP,
+        unarmed.tenant.p99 >= armed.tenant.p99 * UNARMED_BLOWUP,
         "unarmed p99 {} vs armed {} — the storm should hurt without quotas",
-        unarmed.virt.tenant.p99,
-        armed.virt.tenant.p99
+        unarmed.tenant.p99,
+        armed.tenant.p99
     );
 
     // The armed ledger: tenants untouched, slowloris throttled but never
     // escalated, greedy quarantined then revived in degraded mode.
     let snap = |name: &str| -> QuotaSnapshot {
         armed
-            .virt
             .snapshots
             .iter()
             .find(|(n, _)| n == name)
@@ -617,7 +553,7 @@ fn main() {
     assert_eq!(s.attempts, SLOW_REQS);
     assert!(s.throttled > 0, "slowloris throttled to its window budget");
     assert_eq!((s.shed, s.breaches), (0, 0), "slowloris never escalates");
-    assert_eq!(s.admitted, armed.virt.slow_served);
+    assert_eq!(s.admitted, armed.slow_served);
     let g = snap("greedy");
     assert_eq!(g.attempts, GREEDY_REQS);
     assert!(
@@ -628,79 +564,61 @@ fn main() {
     // clock races ahead under load, so a window may roll (decaying
     // shedding) before 150 sheds accumulate, adding re-entries.
     assert!(g.breaches >= 2, "shedding entry + quarantine entry");
-    assert!(
-        armed.virt.quarantined_at_pump,
-        "quarantined before the pump"
-    );
+    assert!(armed.quarantined_at_pump, "quarantined before the pump");
     assert_eq!(
-        armed.virt.pumped, g.breaches,
+        armed.pumped, g.breaches,
         "every breach reached the supervisor before the pump"
     );
-    assert_eq!(
-        armed.virt.swaps_committed, 1,
-        "one idempotent fallback swap"
-    );
+    assert_eq!(armed.swaps_committed, 1, "one idempotent fallback swap");
     assert!(
-        armed.virt.greedy_degraded > 0,
+        armed.greedy_degraded > 0,
         "the degraded build served after the release"
     );
     assert_eq!(
         g.admitted,
-        armed.virt.greedy_heavy + armed.virt.greedy_degraded,
+        armed.greedy_heavy + armed.greedy_degraded,
         "every admitted greedy raise ran v1 or the degraded build"
     );
 
     // Unarmed: everything admitted, nothing refused, v1 serves it all.
-    assert_eq!(unarmed.virt.greedy_heavy, GREEDY_REQS);
-    assert_eq!(unarmed.virt.slow_served, SLOW_REQS);
-    assert_eq!(unarmed.virt.mail_dropped, 0);
-    assert_eq!(calm.virt.mail_dropped, 0);
+    assert_eq!(unarmed.greedy_heavy, GREEDY_REQS);
+    assert_eq!(unarmed.slow_served, SLOW_REQS);
+    assert_eq!(unarmed.mail_dropped, 0);
+    assert_eq!(calm.mail_dropped, 0);
 
     // Backpressure: the burst saturates the 8-deep lane and the sender's
     // occupancy probe refuses *before* the mailbox — every refusal is a
     // counted backoff retry, every shed is the sender's own decision,
     // and no envelope is ever dropped in flight.
-    assert_eq!(
-        armed.virt.bulk_posted + armed.virt.bulk_shed,
-        BULK_POSTS as u64
-    );
-    assert!(
-        armed.virt.bulk_shed > 0,
-        "the lane budget refused the excess"
-    );
-    assert_eq!(armed.virt.bulk_delivered, armed.virt.bulk_posted);
+    assert_eq!(armed.bulk_posted + armed.bulk_shed, BULK_POSTS as u64);
+    assert!(armed.bulk_shed > 0, "the lane budget refused the excess");
+    assert_eq!(armed.bulk_delivered, armed.bulk_posted);
     assert!(g.mail_refused > 0, "refusals charged the sender's backoff");
-    assert_eq!(g.mail_shed, armed.virt.bulk_shed);
-    assert_eq!(armed.virt.mail_dropped, 0, "nothing vanished in flight");
+    assert_eq!(g.mail_shed, armed.bulk_shed);
+    assert_eq!(armed.mail_dropped, 0, "nothing vanished in flight");
 
     // Deferred-lane demotion: armed, the greedy strand re-enqueued at
     // the deferred priority and finished strictly after the sweeper.
-    assert!(armed.virt.demoted > 0, "the executor hook demoted greedy");
+    assert!(armed.demoted > 0, "the executor hook demoted greedy");
     assert!(
-        armed.virt.sweeper_done < armed.virt.cruncher_done,
+        armed.sweeper_done < armed.cruncher_done,
         "the demoted greedy strand must finish behind the sweeper"
     );
-    assert_eq!(unarmed.virt.demoted, 0);
+    assert_eq!(unarmed.demoted, 0);
 
     let rows = vec![
         Row::extra("tenant raises per scenario", all_tenant as f64),
-        Row::extra("tenant p99, calm (µs)", us(calm.virt.tenant.p99)),
-        Row::extra(
-            "tenant p99, storm unarmed (µs)",
-            us(unarmed.virt.tenant.p99),
-        ),
-        Row::extra("tenant p99, storm armed (µs)", us(armed.virt.tenant.p99)),
+        Row::extra("tenant p99, calm (µs)", us(calm.tenant.p99)),
+        Row::extra("tenant p99, storm unarmed (µs)", us(unarmed.tenant.p99)),
+        Row::extra("tenant p99, storm armed (µs)", us(armed.tenant.p99)),
         Row::extra("greedy admitted (of 2500)", snap("greedy").admitted as f64),
         Row::extra("greedy throttled", snap("greedy").throttled as f64),
         Row::extra("greedy shed", snap("greedy").shed as f64),
-        Row::extra("greedy served degraded", armed.virt.greedy_degraded as f64),
+        Row::extra("greedy served degraded", armed.greedy_degraded as f64),
         Row::extra("slowloris admitted (of 150)", snap("slow").admitted as f64),
         Row::extra("slowloris throttled", snap("slow").throttled as f64),
-        Row::extra(
-            "bulk posts shed by backpressure",
-            armed.virt.bulk_shed as f64,
-        ),
-        Row::extra("greedy strand demotions", armed.virt.demoted as f64),
+        Row::extra("bulk posts shed by backpressure", armed.bulk_shed as f64),
+        Row::extra("greedy strand demotions", armed.demoted as f64),
     ];
     print!(
         "{}",
@@ -714,17 +632,6 @@ fn main() {
         "\nLedger reconciles exactly in every scenario; outputs byte-identical \
          at 1/2/4 workers."
     );
-    for (label, runs) in [
-        ("calm", &calm_runs),
-        ("storm unarmed", &unarmed_runs),
-        ("storm armed", &armed_runs),
-    ] {
-        let walls: Vec<String> = runs
-            .iter()
-            .map(|(w, r)| format!("{w}w {:.1}ms", r.wall_ms))
-            .collect();
-        println!("wall-clock ({label}): {}", walls.join(", "));
-    }
 
     JsonReport::new(
         "overload",
@@ -735,10 +642,10 @@ fn main() {
     .number("tenants", TENANTS as f64)
     .number("greedy_reqs", GREEDY_REQS as f64)
     .number("slow_reqs", SLOW_REQS as f64)
-    .number("tenant_p50_calm_us", us(calm.virt.tenant.p50))
-    .number("tenant_p50_armed_us", us(armed.virt.tenant.p50))
+    .number("tenant_p50_calm_us", us(calm.tenant.p50))
+    .number("tenant_p50_armed_us", us(armed.tenant.p50))
     .number("greedy_breaches", snap("greedy").breaches as f64)
-    .number("swaps_committed", armed.virt.swaps_committed as f64)
+    .number("swaps_committed", armed.swaps_committed as f64)
     .number("pump_at_us", us(T_PUMP))
     .number("p99_slack_us", us(P99_SLACK))
     .text("workers_checked", "1/2/4 byte-identical")

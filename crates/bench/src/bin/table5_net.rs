@@ -6,8 +6,9 @@
 //! modelled user-level crossings and copies.
 
 use spin_baseline::Osf1Model;
+use spin_bench::workloads::{bandwidth, udp_rtt, Wiring};
 use spin_bench::{render_table, us, JsonReport, Row};
-use spin_net::{reliable_bandwidth, udp_round_trip, Medium, TwoHosts};
+use spin_net::Medium;
 use spin_sal::MachineProfile;
 use std::sync::Arc;
 
@@ -15,18 +16,16 @@ fn main() {
     let p = Arc::new(MachineProfile::alpha_axp_3000_400());
     let osf1 = Osf1Model::new(p);
 
+    let none = Wiring::default();
+
     // Latency: fresh rig per medium.
-    let rig = TwoHosts::new();
-    let spin_eth_rtt = udp_round_trip(&rig.exec, &rig.a, &rig.b, Medium::Ethernet, 16, 16);
-    let rig = TwoHosts::new();
-    let spin_atm_rtt = udp_round_trip(&rig.exec, &rig.a, &rig.b, Medium::Atm, 16, 16);
+    let spin_eth_rtt = udp_rtt(&none, Medium::Ethernet, 16, 16);
+    let spin_atm_rtt = udp_rtt(&none, Medium::Atm, 16, 16);
 
     // Bandwidth: payload sizes chosen so the on-wire packets are the
     // paper's 1500 (Ethernet) and 8132 (ATM).
-    let rig = TwoHosts::new();
-    let spin_eth_bw = reliable_bandwidth(&rig.exec, &rig.a, &rig.b, Medium::Ethernet, 1458, 80, 16);
-    let rig = TwoHosts::new();
-    let spin_atm_bw = reliable_bandwidth(&rig.exec, &rig.a, &rig.b, Medium::Atm, 8104, 80, 16);
+    let spin_eth_bw = bandwidth(&none, Medium::Ethernet, 1458, 80, 16);
+    let spin_atm_bw = bandwidth(&none, Medium::Atm, 8104, 80, 16);
 
     let rows = vec![
         Row::new(

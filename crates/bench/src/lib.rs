@@ -8,6 +8,9 @@
 
 #![forbid(unsafe_code)]
 
+pub mod storm;
+pub mod workloads;
+
 use std::fmt::Write as _;
 
 /// One row of a reproduction table.

@@ -1836,80 +1836,6 @@ impl Dispatcher {
         }
     }
 
-    /// The pre-snapshot raise path, kept verbatim for the
-    /// `dispatch_snapshot` ablation bench: resolves through the global
-    /// table on every raise, deep-clones the handler vector under the
-    /// event mutex, and re-locks to update statistics. Semantics and
-    /// virtual-time charges match [`Dispatcher::raise`]; real-time cost
-    /// does not — that difference is the point of the ablation.
-    #[doc(hidden)]
-    pub fn raise_locked_baseline<A, R>(&self, ev: &Event<A, R>, args: A) -> Result<R, DispatchError>
-    where
-        A: Send + Sync + 'static,
-        R: Send + 'static,
-    {
-        let state = self.lookup(ev)?;
-        let profile = &self.inner.profile;
-        let clock = &self.inner.clock;
-
-        let (entries, reducer) = {
-            let ws = state.write.lock();
-            state.stats.raises.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            (ws.handlers.clone(), ws.reducer.clone())
-        };
-
-        if entries.len() == 1
-            && entries[0].guards.is_empty()
-            && entries[0].constraints.mode == HandlerMode::Synchronous
-            && entries[0].constraints.time_bound.is_none()
-            && reducer.is_none()
-        {
-            clock.advance(profile.inter_module_call);
-            {
-                // The baseline's second lock acquisition for statistics.
-                let _ws = state.write.lock();
-                state.stats.fast_path_raises.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            }
-            return Ok((entries[0].handler)(&args));
-        }
-
-        clock.advance(profile.event_raise_base);
-        let args = Arc::new(args);
-        let mut results: Vec<R> = Vec::new();
-        for entry in &entries {
-            let mut pass = true;
-            for guard in &entry.guards {
-                clock.advance(profile.guard_eval);
-                state
-                    .stats
-                    .guard_evaluations
-                    .fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-                if !guard.eval(&args) {
-                    pass = false;
-                    break;
-                }
-            }
-            if !pass {
-                continue;
-            }
-            if entry.constraints.mode == HandlerMode::Synchronous {
-                clock.advance(profile.handler_invoke + profile.inter_module_call);
-                let r = (entry.handler)(&args);
-                state.stats.handlers_run.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-                results.push(r);
-            }
-        }
-        if results.is_empty() {
-            return Err(DispatchError::NoHandlerRan {
-                name: ev.name.to_string(),
-            });
-        }
-        Ok(match reducer {
-            Some(reduce) => reduce(results),
-            None => results.pop().expect("non-empty checked above"),
-        })
-    }
-
     /// Statistics for an event.
     // uncharged: diagnostics snapshot.
     pub fn stats<A, R>(&self, ev: &Event<A, R>) -> Result<EventStats, DispatchError>
@@ -2820,22 +2746,5 @@ mod tests {
         assert_eq!(ev.raise(()), Ok(1));
         // Second raise: the republished snapshot includes it.
         assert_eq!(ev.raise(()), Ok(99));
-    }
-
-    #[test]
-    fn baseline_raise_path_matches_semantics() {
-        let d = disp();
-        let (ev, owner) = d.define::<u32, u32>("E", Identity::kernel("k"));
-        owner.set_primary(|x| x + 1).unwrap();
-        assert_eq!(d.raise_locked_baseline(&ev, 1), Ok(2));
-        ev.install_guarded(
-            Identity::extension("g"),
-            |x| x.is_multiple_of(2),
-            |x| x * 10,
-        )
-        .unwrap();
-        assert_eq!(d.raise_locked_baseline(&ev, 4), Ok(40));
-        assert_eq!(d.raise_locked_baseline(&ev, 3), Ok(4));
-        assert_eq!(ev.raise(4), Ok(40), "snapshot path agrees");
     }
 }

@@ -38,7 +38,7 @@
 //! **The cost-model invariant.** An event with no quota cell bound pays
 //! one relaxed atomic load per raise (the `OnceLock` presence check) and
 //! *nothing* touches the virtual clock; Tables 2/5/6 are byte-identical
-//! with the machinery compiled in but unarmed (`quota_invariance` in
+//! with the machinery compiled in but unarmed (the invariance matrix in
 //! `spin-bench`). Every armed decision — window rolls, trips, shedding,
 //! demotion — is a pure function of virtual-time state, so 1/2/4-worker
 //! multicore runs stay byte-identical (`s9_overload`).

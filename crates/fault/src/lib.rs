@@ -15,8 +15,8 @@
 //! nothing, a panic, a virtual-time delay, or a resource failure. No wall
 //! clock, no global RNG state: the same seed and the same workload
 //! produce the same injections, which is what lets the chaos suite make
-//! exact assertions and lets `fault_invariance.rs` prove that a wired but
-//! disabled plan changes nothing.
+//! exact assertions and lets the `spin-bench` invariance matrix prove
+//! that a wired but disabled plan changes nothing.
 //!
 //! Cost-model contract (DESIGN.md): a draw never advances the virtual
 //! clock. When the plan is disabled the draw is one relaxed atomic load;

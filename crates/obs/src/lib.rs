@@ -19,8 +19,8 @@
 //! clock. Hook points in the instrumented crates gate on a single relaxed
 //! atomic load (the same `has_hook` pattern as `Clock::advance`), so every
 //! table and scaling series in EXPERIMENTS.md is byte-identical with the
-//! recorder on or off — enforced by `obs_invariance` in `spin-bench` and
-//! by `scripts/verify.sh`.
+//! recorder on or off — enforced by the invariance matrix in `spin-bench`
+//! (`tests/invariance.rs`) and by `scripts/verify.sh`.
 //!
 //! The crate sits *below* the kernel crates (it depends on nothing but
 //! `parking_lot`) so that every layer from the runtime up can be

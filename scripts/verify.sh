@@ -13,19 +13,23 @@ cargo test -q
 echo "==> cargo test --workspace -q (all crates)"
 cargo test --workspace -q
 
-echo "==> obs cost-model invariant (recorder on/off, capacity 1/64k)"
-cargo test -q -p spin-bench --test obs_invariance
+echo "==> cost-model invariance matrix (obs / fault / quota / idle swap / compiled)"
+# One matrix: every measured workload (Tables 2/4/5/6, demand paging,
+# §5.5 watchers, keyed-vs-opaque echo) under every idle wiring (obs
+# recorder on at capacity 1/64k and off; fault plans disabled and armed
+# at zero; unlimited quota cells, scheduler hook and mailbox gates; an
+# idle swap coordinator with obs absent and wired) must equal the
+# absent column byte for byte, plus the keyed-vs-opaque and mid-run
+# identical-swap pairwise cells.
+cargo test -q -p spin-bench --test invariance
 
 echo "==> chaos suite: seeded fault storm, quarantine budget, /metrics attribution"
 cargo test -q --test chaos_faults
 
-echo "==> fault-injection cost-model invariant (absent / disabled / armed-at-zero)"
-cargo test -q -p spin-bench --test fault_invariance
-
 echo "==> bench smoke: --json emission + virtual-time goldens"
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
-for bin in table1_sizes table2_comm fig5_stack; do
+for bin in table1_sizes table2_comm table4_vm table5_net fig5_stack; do
     (cd "$SMOKE_DIR" && cargo run -q --manifest-path "$OLDPWD/Cargo.toml" \
         -p spin-bench --bin "$bin" -- --json > /dev/null)
     test -s "$SMOKE_DIR/BENCH_$bin.json" || {
@@ -34,13 +38,15 @@ for bin in table1_sizes table2_comm fig5_stack; do
     }
 done
 # table1 counts source lines (drifts with every commit): smoke-only.
-# table2_comm and fig5_stack are pure virtual-time / topology output and
-# must match the checked-in goldens byte-for-byte — this is the cost-model
-# invariant gate: instrumentation must never move a reported number.
+# table2_comm, table4_vm, table5_net and fig5_stack are pure virtual-time
+# / topology output and must match the checked-in goldens byte-for-byte —
+# this is the cost-model invariant gate: instrumentation must never move a
+# reported number. table4_vm and table5_net run through the same shared
+# workloads (spin_bench::workloads) as the invariance matrix.
 # Since fault containment landed, the same diff also gates the fault path:
 # catch_unwind isolation and the injection hooks are compiled in here (with
 # no plan armed), and must not move a golden by a single byte.
-for bin in table2_comm fig5_stack; do
+for bin in table2_comm table4_vm table5_net fig5_stack; do
     diff -u "scripts/goldens/BENCH_$bin.json" "$SMOKE_DIR/BENCH_$bin.json" || {
         echo "verify: $bin diverged from scripts/goldens/BENCH_$bin.json" >&2
         exit 1
@@ -64,10 +70,10 @@ test -s "$SMOKE_DIR/BENCH_multicore.json" || {
 }
 
 echo "==> compiled dispatch: guard-set compilation invariance"
-# Keyed (compiled) vs opaque (sequential) installations must charge
-# identical virtual time on the real workloads, with observability absent
-# (coalesced miss charges) and wired (charge-by-charge replay) alike.
-cargo test -q -p spin-bench --test compiled_invariance
+# Keyed (compiled) vs opaque (sequential) installations charging
+# identical virtual time on the real workloads is a pairwise cell of the
+# invariance matrix above, in every column (observability absent:
+# coalesced miss charges; wired: charge-by-charge replay).
 # s1_dispatcher_scaling asserts in-binary that compiled and sequential
 # sweep columns are equal at every guard count, then measures the
 # wall-clock win; its virtual rows — and the keyed forwarder's Table 6
@@ -89,10 +95,10 @@ test -s "$SMOKE_DIR/BENCH_dispatch_compiled.json" || {
 }
 
 echo "==> hot-swap invariance: idle machinery, mid-run swap, mid-storm bench"
-# Tables 2/5/6 must not move by a byte with the swap machinery compiled in
-# but idle — and a committed swap to a semantically identical forwarder
-# must be invisible in the Table 6 numbers.
-cargo test -q -p spin-bench --test swap_invariance
+# Tables 2/5/6 not moving by a byte with the swap machinery compiled in
+# but idle, and a committed swap to a semantically identical forwarder
+# being invisible in the Table 6 numbers, are cells of the invariance
+# matrix above.
 # Hold-queue reconciliation under raise/swap/rollback churn, and the
 # seeded SITE_SWAP chaos storms (rollback restores the old version) run in
 # the chaos/stress suites above; s8_hotswap swaps the UDP forwarder with
@@ -107,11 +113,10 @@ diff -u "scripts/goldens/BENCH_hotswap.json" "$SMOKE_DIR/BENCH_hotswap.json" || 
 }
 
 echo "==> quota invariance: unlimited budgets, overload containment bench"
-# Metering events, installing the scheduler quota hook and gating a
-# mailbox lane with zero-valued (unlimited) budgets must not move a
+# Metering events, installing the scheduler quota hook and gating
+# mailbox lanes with zero-valued (unlimited) budgets must not move a
 # virtual-time figure by a byte — admission is free until a budget
-# actually refuses.
-cargo test -q -p spin-bench --test quota_invariance
+# actually refuses: the quota column of the invariance matrix above.
 # s9_overload drives a 12-shard storm (greedy flooder + slowloris +
 # nine tenants) through the full escalation ladder — throttle, shed,
 # quarantine, fallback swap to a degraded build — and exits nonzero if
@@ -175,7 +180,7 @@ echo "==> spin-lint: token-level safety & determinism gate"
 # coverage) must report zero findings, and its machine-readable report
 # must match the golden byte-for-byte — so an allowlist entry can never
 # slip in silently.
-cargo build -q --release -p spin-check --bin spin-lint --bin spin-audit
+cargo build -q --release -p spin-check --bin spin-lint
 LINT_START_NS=$(date +%s%N)
 ./target/release/spin-lint --json > "$SMOKE_DIR/lint_report.json"
 LINT_ELAPSED_MS=$(( ($(date +%s%N) - LINT_START_NS) / 1000000 ))
@@ -195,8 +200,6 @@ if [ "$LINT_ELAPSED_MS" -ge 2000 ]; then
     exit 1
 fi
 echo "    spin-lint: clean in ${LINT_ELAPSED_MS}ms ($ALLOW_ENTRIES allow entries)"
-# The back-compat alias must keep working for older scripts.
-./target/release/spin-audit > /dev/null
 
 echo "==> spin-check: model-check the lock-free kernel (--cfg spin_check)"
 RUSTFLAGS="--cfg spin_check" CARGO_TARGET_DIR=target/spin-check \
