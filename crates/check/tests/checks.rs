@@ -319,6 +319,77 @@ fn raise_vs_quiesce_rebind_resume() {
     assert_clean("hot-swap-gate", &report);
 }
 
+/// A two-item `raise_batch` racing the same hot-swap protocol. A burst
+/// that found the gate open dispatches both items against one snapshot
+/// (v1 or v2); one that found it closed parks item by item, and an item
+/// whose `park` sees the gate already cleared by `resume` dispatches as a
+/// lone raise — the mid-burst path. Whatever the interleaving, each item
+/// runs exactly once, parked items replay in burst order, and the hold
+/// queue reconciles.
+#[test]
+fn raise_batch_vs_quiesce_rebind_resume() {
+    const BURST: [u64; 2] = [10, 20];
+    let report = checker().check(|| {
+        let d = Dispatcher::unmetered();
+        let (ev, _owner) = d.define::<u64, u64>("chk.hotswap.burst", Identity::kernel("chk"));
+        let v1 = Identity::extension("v1");
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let l1 = Arc::clone(&log);
+        ev.install(v1.clone(), move |x: &u64| {
+            l1.lock().push(*x);
+            *x + 1
+        })
+        .expect("install v1");
+
+        let ev2 = ev.clone();
+        let t = thread::spawn(move || ev2.raise_batch(BURST.to_vec()));
+
+        ev.quiesce().expect("event alive");
+        let l2 = Arc::clone(&log);
+        ev.rebind(
+            &v1,
+            &v1,
+            vec![InstallSpec {
+                installer: Identity::extension("v2"),
+                handler: std::sync::Arc::new(move |x: &u64| {
+                    l2.lock().push(*x);
+                    *x + 2
+                }),
+                guards: Vec::new(),
+                constraints: Constraints::default(),
+            }],
+        )
+        .expect("rebind v1 -> v2");
+        let replayed = ev.resume().expect("event alive");
+
+        let results = t.join().expect("raiser thread");
+        ev.drain_in_flight().expect("event alive");
+        let mut parked = Vec::new();
+        for (&x, result) in BURST.iter().zip(results) {
+            match result {
+                Ok(v) if v == x + 1 || v == x + 2 => {}
+                Err(DispatchError::Held { .. }) => parked.push(x),
+                other => panic!("burst item {x} racing a hot-swap leaked: {other:?}"),
+            }
+        }
+        assert_eq!(
+            replayed,
+            parked.len() as u64,
+            "resume replays every parked item"
+        );
+        let ran = log.lock().clone();
+        let mut once = ran.clone();
+        once.sort_unstable();
+        assert_eq!(once, BURST.to_vec(), "each item ran exactly once: {ran:?}");
+        let replay_order: Vec<u64> = ran.iter().copied().filter(|x| parked.contains(x)).collect();
+        assert_eq!(replay_order, parked, "parked items replay in burst order");
+        let hold = ev.hold_stats().expect("event alive");
+        assert_eq!(hold.held, hold.replayed, "nothing stays parked");
+        assert_eq!(hold.overflowed, 0);
+    });
+    assert_clean("hot-swap-gate-burst", &report);
+}
+
 /// The quota admission gate racing a concurrent budget release: with a
 /// one-slot in-flight budget held by a settled dispatch, an admit racing
 /// that dispatch's `complete` must either observe the held slot and

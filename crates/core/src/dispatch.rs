@@ -86,9 +86,10 @@
 //! tracing); otherwise the charges are replayed one by one.
 //!
 //! [`Dispatcher::raise_batch`] amortizes the per-raise constant — event
-//! resolution, the plan snapshot, obs/fault hook loads — across a packet
-//! burst: the batch runs against a single plan snapshot with identical
-//! per-item virtual-time charges.
+//! resolution, the in-flight count, the quiesce-gate check and the plan
+//! snapshot — across a packet burst: each item then runs the same per-item
+//! body as a lone [`Dispatcher::raise`] against that single snapshot, with
+//! identical per-item virtual-time charges.
 //!
 //! # Fault containment
 //!
@@ -561,12 +562,11 @@ pub struct HoldStats {
     pub overflowed: u64,
 }
 
-/// One parked raise: the virtual instant it arrived plus its total-order
-/// key, mirroring the mailbox `(deliver_at, lane, seq)` order so a resume
-/// replays exactly the sequence an uninterrupted run would have seen.
+/// One parked raise: the virtual instant it arrived plus its arrival
+/// ordinal, so a resume replays in `(deliver_at, seq)` order — exactly the
+/// sequence an uninterrupted run would have seen.
 struct HeldRaise<A> {
     deliver_at: Nanos,
-    lane: u64,
     seq: u64,
     args: A,
 }
@@ -619,12 +619,6 @@ impl<A, R> RebindReceipt<A, R> {
     // uncharged: receipt accessor.
     pub fn installed(&self) -> &[HandlerId] {
         &self.installed
-    }
-
-    /// How many of the old version's handlers the rebind removed.
-    // uncharged: receipt accessor.
-    pub fn removed_count(&self) -> usize {
-        self.removed.len()
     }
 
     /// The identity whose handlers were removed.
@@ -824,9 +818,6 @@ struct DispatcherInner {
     /// Deterministic fault-injection hook (`core.dispatch` site): absent
     /// until wired; a disabled plan's draw is one relaxed load.
     faults: crate::hooks::HookSlot<FaultHook>,
-    /// Batch-edge fault hook (`core.dispatch.batch` site): one draw per
-    /// [`Dispatcher::raise_batch`] burst, before any item dispatches.
-    batch_faults: crate::hooks::HookSlot<FaultHook>,
     /// Invoked — outside every dispatcher lock — for each contained
     /// handler panic and time-bound abort.
     fault_sink: RwLock<Option<FaultSink>>,
@@ -853,7 +844,6 @@ impl Dispatcher {
                 xcall: crate::hooks::HookSlot::new(),
                 obs: crate::hooks::HookSlot::new(),
                 faults: crate::hooks::HookSlot::new(),
-                batch_faults: crate::hooks::HookSlot::new(),
                 fault_sink: RwLock::new(None),
             }),
         }
@@ -894,16 +884,6 @@ impl Dispatcher {
     // uncharged: one-shot control-plane wiring.
     pub fn set_fault_hook(&self, hook: FaultHook) {
         let _ = self.inner.faults.set(hook);
-    }
-
-    /// Wires deterministic fault injection at the batch edge (the
-    /// `core.dispatch.batch` site): one draw per [`Dispatcher::raise_batch`]
-    /// burst. A `Fail` (or contained `Panic`) drops the whole burst before
-    /// any item dispatches; a `Delay` charges its latency to the raiser
-    /// once, ahead of the burst. One-shot; charges zero virtual time.
-    // uncharged: one-shot control-plane wiring.
-    pub fn set_batch_fault_hook(&self, hook: FaultHook) {
-        let _ = self.inner.batch_faults.set(hook);
     }
 
     /// Installs the sink notified of every contained handler fault
@@ -1214,58 +1194,21 @@ impl Dispatcher {
         } else {
             args
         };
-        // Snapshot: one refcount bump; handlers run outside any lock
-        // (they may install/uninstall or re-raise).
-        let plan = state.plan.read().clone();
-        // Re-check after snapshotting: `destroy` flips the flag before it
-        // clears the plan, so a raise racing a destroy settles to
-        // `UnknownEvent` — never a stale result, never `NoHandlerRan`
-        // from the cleared plan.
-        // ordering: Acquire — pairs with destroy's Release flag store; runs after the plan snapshot.
-        if state.destroyed.load(Ordering::Acquire) {
-            return Err(ev.unknown());
-        }
-        // Admission control: an over-budget domain gets a typed refusal
-        // *before* any virtual time is charged or stats are counted —
-        // throttled raises never dispatched, so they are ledger entries,
-        // not event raises.
-        if let Some(q) = quota {
-            if let Err(verdict) = q.admit(self.inner.clock.now()) {
-                return Err(verdict.into_error(&ev.name, q.name()));
-            }
-        }
-        state.stats.raises.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        let obs = self.inner.obs.get();
-        if let Some(obs) = obs {
-            obs.counters.events_raised.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            obs.trace(TraceKind::EventRaise, ev.id, plan.entries.len() as u64);
-        }
-        let faults = self.inner.faults.get();
-        match quota {
-            None => self.dispatch_one(ev, &state, &plan, obs, faults, args),
-            Some(q) => {
-                // Bracket the dispatch so the synchronous virtual time it
-                // charged lands on the domain's window, then release the
-                // admission slot.
-                let before = self.inner.clock.now();
-                let out = self.dispatch_one(ev, &state, &plan, obs, faults, args);
-                q.complete(self.inner.clock.now().saturating_sub(before));
-                out
-            }
-        }
+        let plan = ev.snapshot(&state)?;
+        self.raise_item(ev, &state, &plan, quota, None, args)
     }
 
     /// Raises a burst of events against a single plan snapshot.
     ///
     /// Semantically this is `batch.into_iter().map(|a| raise(ev, a))` —
-    /// each item charges exactly the virtual time a lone [`raise`] would —
-    /// but the per-raise constants amortize: the event resolves once, the
-    /// plan snapshots once, the obs/fault hooks load once, and statistics
-    /// settle in one batched increment. Fault injection draws once at the
-    /// batch edge (the `core.dispatch.batch` site): a `Fail` or contained
-    /// `Panic` drops the whole burst before any item dispatches (every
-    /// item reports [`DispatchError::NoHandlerRan`] and no raise is
-    /// counted); a `Delay` charges the raiser once, ahead of the burst.
+    /// each item goes through the same per-item body as a lone [`raise`]
+    /// (admission, counting, dispatch, quota settle) and charges exactly
+    /// the virtual time a lone raise would — but the per-raise constants
+    /// amortize: the event resolves once, the in-flight count and quiesce
+    /// gate are consulted once, the plan snapshots once, and the admitted
+    /// items' statistics settle in one increment after the burst. A gated
+    /// burst parks item by item in burst order (consecutive hold-queue
+    /// seqs) and replays as individual raises on resume.
     ///
     /// The burst runs against *one* snapshot: a plan republished mid-batch
     /// (install/uninstall from a handler, fast-path demotion after a
@@ -1282,113 +1225,109 @@ impl Dispatcher {
         A: Send + Sync + 'static,
         R: Send + 'static,
     {
-        let n = batch.len() as u64;
-        if n == 0 {
+        if batch.is_empty() {
             return Vec::new();
         }
+        let every = |e: DispatchError| batch.iter().map(|_| Err(e.clone())).collect();
         let state = match ev.resolved() {
             Ok(state) => state,
-            Err(e) => return batch.iter().map(|_| Err(e.clone())).collect(),
+            Err(e) => return every(e),
         };
         let _flight = FlightGuard::enter(&state.in_flight);
         let quota = state.quota.get();
-        // A gated burst parks item by item — before the batch-edge fault
-        // draw, which belongs to dispatched bursts only. Parked items keep
-        // their burst order (consecutive hold-queue seqs) and replay as
-        // individual raises on resume.
         // ordering: SeqCst — store-buffer pair with `quiesce`'s gate store; see FlightGuard::enter.
         if state.gate.load(Ordering::SeqCst) {
             return batch
                 .into_iter()
-                .map(|args| match self.park(ev, &state, quota, args) {
-                    // Gate cleared mid-burst: dispatch the item singly.
-                    Ok(args) => self.raise(ev, args),
-                    Err(parked) => Err(parked),
+                // Gate cleared mid-burst: `park` hands the item back and
+                // it dispatches as a lone raise.
+                .map(|args| {
+                    self.park(ev, &state, quota, args)
+                        .and_then(|args| self.raise(ev, args))
                 })
                 .collect();
         }
-        let plan = state.plan.read().clone();
-        // ordering: Acquire — pairs with destroy's Release flag store; runs after the plan snapshot.
-        if state.destroyed.load(Ordering::Acquire) {
-            let e = ev.unknown();
-            return batch.iter().map(|_| Err(e.clone())).collect();
-        }
-        if let Some(hook) = self.inner.batch_faults.get() {
-            match hook.draw() {
-                Some(Injection::Delay(ns)) => self.inner.clock.advance(ns),
-                Some(fail @ (Injection::Fail | Injection::Panic)) => {
-                    if matches!(fail, Injection::Panic) {
-                        // Contained at the batch edge; the plan's own
-                        // counters record the injection.
-                        let _ = catch_unwind(AssertUnwindSafe(|| hook.fire_panic()));
-                    }
-                    let e = DispatchError::NoHandlerRan {
-                        name: ev.name.to_string(),
-                    };
-                    return batch.iter().map(|_| Err(e.clone())).collect();
-                }
-                None => {}
-            }
-        }
-        // An unmetered burst settles its statistics up front (the batched
-        // fast path); a metered one counts only admitted items, after the
-        // per-item admission below.
-        if quota.is_none() {
-            state.stats.raises.fetch_add(n, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            state.stats.batched_raises.fetch_add(n, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        }
-        let obs = self.inner.obs.get();
-        if quota.is_none() {
-            if let Some(obs) = obs {
-                obs.counters.events_raised.fetch_add(n, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-                obs.counters
-                    .dispatch_batched
-                    .fetch_add(n, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            }
-        }
-        let faults = self.inner.faults.get();
-        let mut out = Vec::with_capacity(batch.len());
-        let mut admitted = 0u64;
-        for args in batch {
-            // Per-item admission: throttled items of a burst surface their
-            // typed refusal in place and are never counted as raises, so
-            // the batched identity (each item charges what a lone raise
-            // would) holds for the admitted remainder.
-            if let Some(q) = quota {
-                if let Err(verdict) = q.admit(self.inner.clock.now()) {
-                    out.push(Err(verdict.into_error(&ev.name, q.name())));
-                    continue;
-                }
-                admitted += 1;
-            }
-            if let Some(obs) = obs {
-                obs.trace(TraceKind::EventRaise, ev.id, plan.entries.len() as u64);
-            }
-            match quota {
-                None => out.push(self.dispatch_one(ev, &state, &plan, obs, faults, args)),
-                Some(q) => {
-                    let before = self.inner.clock.now();
-                    out.push(self.dispatch_one(ev, &state, &plan, obs, faults, args));
-                    q.complete(self.inner.clock.now().saturating_sub(before));
-                }
-            }
-        }
-        if quota.is_some() && admitted > 0 {
-            state.stats.raises.fetch_add(admitted, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            state
-                .stats
-                .batched_raises
-                .fetch_add(admitted, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            if let Some(obs) = obs {
-                obs.counters
-                    .events_raised
-                    .fetch_add(admitted, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-                obs.counters
-                    .dispatch_batched
-                    .fetch_add(admitted, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            }
+        let plan = match ev.snapshot(&state) {
+            Ok(plan) => plan,
+            Err(e) => return every(e),
+        };
+        let mut admitted = 0;
+        let out = batch
+            .into_iter()
+            .map(|args| self.raise_item(ev, &state, &plan, quota, Some(&mut admitted), args))
+            .collect();
+        let stats = &state.stats;
+        // ordering: Relaxed — monotonic statistics; readers take a snapshot, not a sync point.
+        stats.raises.fetch_add(admitted, Ordering::Relaxed);
+        stats.batched_raises.fetch_add(admitted, Ordering::Relaxed);
+        if let Some(obs) = self.inner.obs.get() {
+            let c = &obs.counters;
+            // ordering: Relaxed — monotonic statistics; readers take a snapshot, not a sync point.
+            c.events_raised.fetch_add(admitted, Ordering::Relaxed);
+            c.dispatch_batched.fetch_add(admitted, Ordering::Relaxed);
         }
         out
+    }
+
+    /// The per-item body shared by [`Dispatcher::raise`] and every item
+    /// of [`Dispatcher::raise_batch`]: admission, counting (into `tally`
+    /// for a burst item), the `EventRaise` trace, the dispatch, and the
+    /// quota settle.
+    #[inline]
+    fn raise_item<A, R>(
+        &self,
+        ev: &Event<A, R>,
+        state: &Arc<EventState<A, R>>,
+        plan: &Arc<RaisePlan<A, R>>,
+        quota: Option<&Arc<QuotaCell>>,
+        tally: Option<&mut u64>,
+        args: A,
+    ) -> Result<R, DispatchError>
+    where
+        A: Send + Sync + 'static,
+        R: Send + 'static,
+    {
+        // Admission control: an over-budget domain gets a typed refusal
+        // *before* any virtual time is charged or stats are counted —
+        // throttled raises never dispatched, so they are ledger entries,
+        // not event raises (a refused burst item surfaces in place).
+        if let Some(q) = quota {
+            if let Err(verdict) = q.admit(self.inner.clock.now()) {
+                return Err(verdict.into_error(&ev.name, q.name()));
+            }
+        }
+        // A lone raise counts itself; a burst item only bumps the burst's
+        // tally, which `raise_batch` settles in one increment per counter.
+        let lone = match tally {
+            Some(admitted) => {
+                *admitted += 1;
+                false
+            }
+            None => {
+                state.stats.raises.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+                true
+            }
+        };
+        let obs = self.inner.obs.get();
+        if let Some(obs) = obs {
+            if lone {
+                obs.counters.events_raised.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+            }
+            obs.trace(TraceKind::EventRaise, ev.id, plan.entries.len() as u64);
+        }
+        let faults = self.inner.faults.get();
+        match quota {
+            None => self.dispatch_one(ev, state, plan, obs, faults, args),
+            Some(q) => {
+                // Bracket the dispatch so the synchronous virtual time it
+                // charged lands on the domain's window, then release the
+                // admission slot.
+                let before = self.inner.clock.now();
+                let out = self.dispatch_one(ev, state, plan, obs, faults, args);
+                q.complete(self.inner.clock.now().saturating_sub(before));
+                out
+            }
+        }
     }
 
     /// Parks one raise behind the quiesce gate. Returns `Ok(args)` when
@@ -1438,7 +1377,6 @@ impl Dispatcher {
         held.seq += 1;
         held.queue.push(HeldRaise {
             deliver_at: self.inner.clock.now(),
-            lane: 0,
             seq,
             args,
         });
@@ -1477,14 +1415,7 @@ impl Dispatcher {
         if let Some(fast) = &plan.fast {
             clock.advance(profile.inter_module_call);
             state.stats.fast_path_raises.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                match faults.and_then(|h| h.draw()) {
-                    Some(Injection::Panic) => faults.expect("drawn").fire_panic(),
-                    Some(Injection::Delay(ns)) => clock.advance(ns),
-                    Some(Injection::Fail) | None => {}
-                }
-                fast(&args)
-            }));
+            let outcome = self.contained(faults, || fast(&args));
             match outcome {
                 Ok(r) => {
                     if let Some(obs) = obs {
@@ -1692,14 +1623,7 @@ impl Dispatcher {
             HandlerMode::Synchronous => {
                 clock.advance(profile.handler_invoke + profile.inter_module_call);
                 let t0 = clock.now();
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    match faults.and_then(|h| h.draw()) {
-                        Some(Injection::Panic) => faults.expect("drawn").fire_panic(),
-                        Some(Injection::Delay(ns)) => clock.advance(ns),
-                        Some(Injection::Fail) | None => {}
-                    }
-                    (entry.handler)(args)
-                }));
+                let outcome = self.contained(faults, || (entry.handler)(args));
                 match outcome {
                     Ok(r) => {
                         acc.run += 1;
@@ -1737,6 +1661,26 @@ impl Dispatcher {
                 }
             }
         }
+    }
+
+    /// Runs one synchronous handler call unwind-isolated, drawing the
+    /// `core.dispatch` fault site inside the containment region so an
+    /// injected panic surfaces as an ordinary handler fault and an
+    /// injected delay is charged to the handler.
+    #[inline]
+    fn contained<R>(
+        &self,
+        faults: Option<&FaultHook>,
+        call: impl FnOnce() -> R,
+    ) -> std::thread::Result<R> {
+        catch_unwind(AssertUnwindSafe(|| {
+            match faults.and_then(|h| h.draw()) {
+                Some(Injection::Panic) => faults.expect("drawn").fire_panic(),
+                Some(Injection::Delay(ns)) => self.inner.clock.advance(ns),
+                Some(Injection::Fail) | None => {}
+            }
+            call()
+        }))
     }
 
     /// Notifies the fault sink (if any) of a contained fault. Runs with
@@ -1929,6 +1873,21 @@ where
         Ok(state)
     }
 
+    /// Snapshots the published plan — one refcount bump; handlers run
+    /// outside any lock (they may install/uninstall or re-raise) — and
+    /// re-checks the destroyed flag after it: `destroy` flips the flag
+    /// before it clears the plan, so a raise racing a destroy settles to
+    /// `UnknownEvent` — never a stale result, never `NoHandlerRan` from
+    /// the cleared plan.
+    fn snapshot(&self, state: &EventState<A, R>) -> Result<Arc<RaisePlan<A, R>>, DispatchError> {
+        let plan = state.plan.read().clone();
+        // ordering: Acquire — pairs with destroy's Release flag store; runs after the plan snapshot.
+        if state.destroyed.load(Ordering::Acquire) {
+            return Err(self.unknown());
+        }
+        Ok(plan)
+    }
+
     fn unknown(&self) -> DispatchError {
         DispatchError::UnknownEvent {
             name: self.name.to_string(),
@@ -2052,8 +2011,7 @@ where
     }
 
     /// Reopens the gate and replays every parked raise in
-    /// `(deliver_at, lane, seq)` order — the mailbox total order, so the
-    /// replayed timeline is exactly the one an uninterrupted run would
+    /// `(deliver_at, seq)` order, so the replayed timeline is exactly the one an uninterrupted run would
     /// have dispatched. Replayed results are unobservable (like the
     /// paper's asynchronous handlers); each replay charges full dispatch
     /// cost at the *current* virtual instant. Returns how many replayed.
@@ -2068,7 +2026,7 @@ where
             state.gate.store(false, Ordering::SeqCst);
             std::mem::take(&mut held.queue)
         };
-        parked.sort_by_key(|h| (h.deliver_at, h.lane, h.seq));
+        parked.sort_by_key(|h| (h.deliver_at, h.seq));
         let n = parked.len() as u64;
         for h in parked {
             let _ = self.dispatcher.raise(self, h.args);

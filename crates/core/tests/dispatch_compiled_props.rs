@@ -6,8 +6,10 @@
 //! stream.
 
 use proptest::prelude::*;
-use spin_core::{Dispatcher, Event, GuardSpec, Identity, KeyFn};
-use std::sync::Arc;
+use spin_core::{
+    DispatchError, Dispatcher, Event, GuardSpec, Identity, KeyFn, QuotaLedger, QuotaSpec,
+};
+use std::sync::{Arc, Mutex};
 
 /// One handler's guard in model form; `to_spec` produces the structured
 /// (compilable) guard and `matches` is the reference predicate.
@@ -62,16 +64,25 @@ fn guard_model() -> impl Strategy<Value = GuardModel> {
 }
 
 /// A dispatcher/event pair whose handlers report their index as a bit, so
-/// a sum reducer identifies the exact selected handler set.
+/// a sum reducer identifies the exact selected handler set. The primary
+/// logs every argument it runs on, in dispatch order.
 struct Rig {
     d: Dispatcher,
     ev: Event<u64, u64>,
+    log: Arc<Mutex<Vec<u64>>>,
 }
 
 fn build_rig(models: &[GuardModel], structured: bool) -> (Rig, Vec<spin_core::HandlerId>) {
     let d = Dispatcher::unmetered();
     let (ev, owner) = d.define::<u64, u64>("E", Identity::kernel("m"));
-    owner.set_primary(|_| 0).expect("fresh");
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let primary_log = Arc::clone(&log);
+    owner
+        .set_primary(move |x: &u64| {
+            primary_log.lock().expect("log").push(*x);
+            0
+        })
+        .expect("fresh");
     owner.set_reducer(|rs| rs.into_iter().sum()).expect("fresh");
     let key = KeyFn::new(|x: &u64| *x);
     let ids = models
@@ -88,7 +99,7 @@ fn build_rig(models: &[GuardModel], structured: bool) -> (Rig, Vec<spin_core::Ha
                 .expect("allowed")
         })
         .collect();
-    (Rig { d, ev }, ids)
+    (Rig { d, ev, log }, ids)
 }
 
 /// The reference model's answer: the bit-sum of live matching handlers.
@@ -185,34 +196,86 @@ proptest! {
     }
 
     /// `raise_batch` returns item-for-item what looped `raise` returns
-    /// and charges the same virtual time, for any burst.
+    /// and charges the same virtual time, for any burst — unmetered or
+    /// metered by a finite quota (refusals surface in place and only
+    /// admitted items count as raises), and open or quiesced (both park,
+    /// and `resume` replays them in the same order).
     #[test]
     fn batched_raises_match_looped_raises(
         models in prop::collection::vec(guard_model(), 1..8),
         burst in prop::collection::vec(0u64..40, 1..16),
+        metered in any::<bool>(),
+        vt_budget in 1u64..20_000,
+        quiesced in any::<bool>(),
     ) {
         let (batched, _) = build_rig(&models, true);
         let (looped, _) = build_rig(&models, true);
         let live = vec![true; models.len()];
+        if metered {
+            // Small windows roll mid-burst; two trips escalate to shedding.
+            let spec = QuotaSpec {
+                window: 20_000,
+                window_vt_budget: vt_budget,
+                shed_after_trips: 2,
+                ..QuotaSpec::default()
+            };
+            for rig in [&batched, &looped] {
+                let cell = QuotaLedger::new().register("tenant", spec);
+                prop_assert_eq!(rig.ev.bind_quota(cell), Ok(true));
+            }
+        }
+        if quiesced {
+            batched.ev.quiesce().expect("alive");
+            looped.ev.quiesce().expect("alive");
+        }
 
         let t_b = batched.d.clock().now();
         let got = batched.ev.raise_batch(burst.clone());
+        batched.ev.resume().expect("alive");
         let batched_delta = batched.d.clock().now() - t_b;
 
         let t_l = looped.d.clock().now();
         let want: Vec<_> = burst.iter().map(|&v| looped.ev.raise(v)).collect();
+        looped.ev.resume().expect("alive");
         let looped_delta = looped.d.clock().now() - t_l;
 
         prop_assert_eq!(&got, &want);
-        for (&value, result) in burst.iter().zip(got) {
-            prop_assert_eq!(result, Ok(model_sum(&models, &live, value)));
-        }
         prop_assert_eq!(batched_delta, looped_delta);
+        let log = batched.log.lock().expect("log").clone();
+        prop_assert_eq!(&log, &*looped.log.lock().expect("log"));
+        let bh = batched.ev.hold_stats().expect("alive");
+        prop_assert_eq!(bh, looped.ev.hold_stats().expect("alive"));
         let bs = batched.d.stats(&batched.ev).expect("stats");
         let ls = looped.d.stats(&looped.ev).expect("stats");
         prop_assert_eq!(bs.guard_evaluations, ls.guard_evaluations);
         prop_assert_eq!(bs.raises, ls.raises);
-        prop_assert_eq!(bs.batched_raises, burst.len() as u64);
         prop_assert_eq!(ls.batched_raises, 0);
+        let n = burst.len() as u64;
+        if quiesced {
+            // Both park every item; resume replays them as lone raises in
+            // burst order (a metered replay may itself be refused).
+            let all_held = got.iter().all(|r| matches!(r, Err(DispatchError::Held { .. })));
+            prop_assert!(all_held, "a quiesced burst parks every item: {:?}", got);
+            prop_assert_eq!((bh.held, bh.replayed, bs.batched_raises), (n, n, 0));
+            if !metered {
+                prop_assert_eq!(&log, &burst);
+            }
+        } else {
+            // Refusals surface in place and never reach a handler; every
+            // admitted item ran once, in burst order, with the model's
+            // handler set, and counts as a (batched) raise.
+            let mut admitted = Vec::new();
+            for (&value, result) in burst.iter().zip(&got) {
+                if matches!(result, Err(DispatchError::Throttled { .. } | DispatchError::Shed { .. })) {
+                    prop_assert!(metered, "unmetered items are never refused");
+                } else {
+                    prop_assert_eq!(result, &Ok(model_sum(&models, &live, value)));
+                    admitted.push(value);
+                }
+            }
+            prop_assert_eq!(&log, &admitted);
+            let k = admitted.len() as u64;
+            prop_assert_eq!((bh.held, bs.raises, bs.batched_raises), (0, k, k));
+        }
     }
 }

@@ -156,7 +156,7 @@ fn concurrent_raises_survive_swap_and_rollback_churn() {
     );
 }
 
-/// Parked raises replay in `(deliver_at, lane, seq)` order — FIFO here,
+/// Parked raises replay in `(deliver_at, seq)` order — FIFO here,
 /// since parking charges no virtual time.
 #[test]
 fn hold_queue_replays_in_park_order() {

@@ -188,34 +188,9 @@ impl Nic {
     /// Transmits `payload` to `dst`, charging driver and I/O costs and
     /// handing the frame to the wire.
     pub fn send(&self, dst: WireEndpoint, payload: Bytes) -> Result<(), NicError> {
-        if payload.len() > self.model.mtu {
-            return Err(NicError::TooLarge {
-                len: payload.len(),
-                mtu: self.model.mtu,
-            });
-        }
-        let p = &self.profile;
-        self.clock.advance(self.model.driver_ns);
-        match self.model.io {
-            IoKind::Pio => self.clock.advance(p.pio(payload.len())),
-            IoKind::Dma => self.clock.advance(p.dma_setup),
-        }
-        {
-            let mut st = self.stats.lock();
-            st.tx_frames += 1;
-            st.tx_bytes += payload.len() as u64;
-        }
-        let bits = ((payload.len() + self.model.framing_bytes) * 8) as u64;
-        self.wire.transmit_delayed(
-            Frame {
-                src: self.addr,
-                dst,
-                payload,
-            },
-            bits,
-            self.model.bandwidth_bps,
-            self.model.staging_ns,
-        );
+        let frame = self.stage(dst, payload)?;
+        self.wire
+            .transmit_burst(vec![frame], self.model.bandwidth_bps, self.model.staging_ns);
         Ok(())
     }
 
@@ -224,58 +199,58 @@ impl Nic {
     /// to the wire under one wire-lock acquisition. Stops at the first
     /// oversized payload (frames before it are already committed).
     pub fn send_burst(&self, frames: Vec<(WireEndpoint, Bytes)>) -> Result<(), NicError> {
-        if frames.is_empty() {
-            return Ok(());
+        let mut staged = Vec::with_capacity(frames.len());
+        let result = frames.into_iter().try_for_each(|(dst, payload)| {
+            staged.push(self.stage(dst, payload)?);
+            Ok(())
+        });
+        if !staged.is_empty() {
+            self.wire
+                .transmit_burst(staged, self.model.bandwidth_bps, self.model.staging_ns);
         }
-        let p = &self.profile;
-        let mut wire_frames = Vec::with_capacity(frames.len());
-        for (dst, payload) in frames {
-            if payload.len() > self.model.mtu {
-                self.wire.transmit_burst(
-                    wire_frames,
-                    self.model.bandwidth_bps,
-                    self.model.staging_ns,
-                );
-                return Err(NicError::TooLarge {
-                    len: payload.len(),
-                    mtu: self.model.mtu,
-                });
-            }
-            self.clock.advance(self.model.driver_ns);
-            match self.model.io {
-                IoKind::Pio => self.clock.advance(p.pio(payload.len())),
-                IoKind::Dma => self.clock.advance(p.dma_setup),
-            }
-            {
-                let mut st = self.stats.lock();
-                st.tx_frames += 1;
-                st.tx_bytes += payload.len() as u64;
-            }
-            let bits = ((payload.len() + self.model.framing_bytes) * 8) as u64;
-            wire_frames.push((
-                Frame {
-                    src: self.addr,
-                    dst,
-                    payload,
-                },
-                bits,
-            ));
+        result
+    }
+
+    /// The per-frame step of [`Nic::send`] and [`Nic::send_burst`]: the
+    /// MTU check, the driver and I/O charge, the tx counters, and the
+    /// frame with its on-wire bit count (framing included).
+    fn stage(&self, dst: WireEndpoint, payload: Bytes) -> Result<(Frame, u64), NicError> {
+        if payload.len() > self.model.mtu {
+            return Err(NicError::TooLarge {
+                len: payload.len(),
+                mtu: self.model.mtu,
+            });
         }
-        self.wire
-            .transmit_burst(wire_frames, self.model.bandwidth_bps, self.model.staging_ns);
-        Ok(())
+        self.charge_io(payload.len());
+        {
+            let mut st = self.stats.lock();
+            st.tx_frames += 1;
+            st.tx_bytes += payload.len() as u64;
+        }
+        let bits = ((payload.len() + self.model.framing_bytes) * 8) as u64;
+        let frame = Frame {
+            src: self.addr,
+            dst,
+            payload,
+        };
+        Ok((frame, bits))
+    }
+
+    /// Charges the driver and moving `len` bytes between memory and the
+    /// card: PIO burns CPU per byte, DMA pays a fixed descriptor setup.
+    fn charge_io(&self, len: usize) {
+        self.clock.advance(self.model.driver_ns);
+        match self.model.io {
+            IoKind::Pio => self.clock.advance(self.profile.pio(len)),
+            IoKind::Dma => self.clock.advance(self.profile.dma_setup),
+        }
     }
 
     /// Pulls the next received frame, charging the driver and the inbound
     /// copy (PIO cards burn CPU per byte here too).
     pub fn receive(&self) -> Option<Frame> {
         let frame = self.rx.lock().pop_front()?;
-        let p = &self.profile;
-        self.clock.advance(self.model.driver_ns);
-        match self.model.io {
-            IoKind::Pio => self.clock.advance(p.pio(frame.payload.len())),
-            IoKind::Dma => self.clock.advance(p.dma_setup),
-        }
+        self.charge_io(frame.payload.len());
         {
             let mut st = self.stats.lock();
             st.rx_frames += 1;
@@ -354,6 +329,38 @@ mod tests {
                 mtu: 1500
             })
         );
+    }
+
+    #[test]
+    fn send_burst_stops_at_the_first_oversized_frame() {
+        let (lone, _, lone_clock, _, _) = rig(NicModel::lance_ethernet());
+        let t0 = lone_clock.now();
+        lone.send(WireEndpoint(2), Bytes::from_static(b"first"))
+            .unwrap();
+        let lone_charge = lone_clock.now() - t0;
+
+        let (a, b, clock, timers, _) = rig(NicModel::lance_ethernet());
+        let t0 = clock.now();
+        assert_eq!(
+            a.send_burst(vec![
+                (WireEndpoint(2), Bytes::from_static(b"first")),
+                (WireEndpoint(2), Bytes::from(vec![0u8; 1501])),
+                (WireEndpoint(2), Bytes::from_static(b"never")),
+            ]),
+            Err(NicError::TooLarge {
+                len: 1501,
+                mtu: 1500
+            })
+        );
+        // The frame before the oversized one is committed exactly as a
+        // lone send: same charge, same tx counters.
+        assert_eq!(clock.now() - t0, lone_charge);
+        assert_eq!(a.counters(), lone.counters());
+        // Nothing after the oversized frame reaches the wire.
+        clock.skip_to(clock.now() + 10_000_000);
+        timers.fire_due(clock.now());
+        assert_eq!(b.rx_pending(), 1);
+        assert_eq!(&b.receive().expect("first frame").payload[..], b"first");
     }
 
     #[test]

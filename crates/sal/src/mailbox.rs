@@ -110,6 +110,48 @@ impl Mailbox {
         action: impl FnOnce(Nanos) + Send + 'static,
     ) -> bool {
         let mut st = self.state.lock();
+        let accepted = self.post_locked(&mut st, deliver_at, lane, Box::new(action));
+        if accepted {
+            self.pending.fetch_add(1, Ordering::Release); // ordering: Release — pairs with the Acquire emptiness probe so a probe that sees the count also sees the entry under the lock.
+            self.posted.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+        }
+        accepted
+    }
+
+    /// Posts a batch of envelopes under one lock acquisition.
+    ///
+    /// Per-envelope semantics — hook, quota gate, per-lane sequencing —
+    /// are exactly those of N sequential [`Mailbox::post`] calls in slice
+    /// order (both run the same per-envelope step); only the locking is
+    /// amortized. Returns how many envelopes were accepted.
+    pub fn post_batch(&self, entries: Vec<(Nanos, u64, MailAction)>) -> usize {
+        if entries.is_empty() {
+            return 0;
+        }
+        let mut st = self.state.lock();
+        let accepted = entries
+            .into_iter()
+            .map(|(deliver_at, lane, action)| self.post_locked(&mut st, deliver_at, lane, action))
+            .filter(|&ok| ok)
+            .count() as u64;
+        self.pending.fetch_add(accepted, Ordering::Release); // ordering: Release — pairs with the Acquire emptiness probe so a probe that sees the count also sees the entries under the lock.
+        self.posted.fetch_add(accepted, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+        accepted as usize
+    }
+
+    /// The per-envelope step of [`Mailbox::post`] and
+    /// [`Mailbox::post_batch`], run under the state lock: the post hook
+    /// (shift or drop), the quota gate (with its occupancy bookkeeping),
+    /// the lane's sequence number, then the insert. Refusals count as
+    /// dropped; the caller settles the pending/posted counters for
+    /// accepted envelopes.
+    fn post_locked(
+        &self,
+        st: &mut MailboxState,
+        deliver_at: Nanos,
+        lane: u64,
+        action: MailAction,
+    ) -> bool {
         let deliver_at = match st.hook.as_ref().map(|h| h(deliver_at)) {
             Some(MailFate::Drop) => {
                 self.dropped.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
@@ -118,13 +160,9 @@ impl Mailbox {
             Some(MailFate::Deliver(at)) => at,
             None => deliver_at,
         };
-        if st.quota_gate.is_some() {
+        if let Some(gate) = st.quota_gate.as_ref() {
             let occupancy = st.lane_pending.get(&lane).copied().unwrap_or(0);
-            let admit = st
-                .quota_gate
-                .as_ref()
-                .is_none_or(|gate| gate(lane, occupancy));
-            if !admit {
+            if !gate(lane, occupancy) {
                 self.dropped.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
                 return false;
             }
@@ -133,54 +171,8 @@ impl Mailbox {
         let seq = st.lane_seq.entry(lane).or_insert(0);
         let key = (deliver_at, lane, *seq);
         *seq += 1;
-        st.entries.insert(key, Box::new(action));
-        self.pending.fetch_add(1, Ordering::Release); // ordering: Release — pairs with the Acquire emptiness probe so a probe that sees the count also sees the entry under the lock.
-        self.posted.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+        st.entries.insert(key, action);
         true
-    }
-
-    /// Posts a batch of envelopes under one lock acquisition.
-    ///
-    /// Per-envelope semantics — hook, quota gate, per-lane sequencing —
-    /// are exactly those of N sequential [`Mailbox::post`] calls in slice
-    /// order; only the locking is amortized. Returns how many envelopes
-    /// were accepted.
-    pub fn post_batch(&self, entries: Vec<(Nanos, u64, MailAction)>) -> usize {
-        if entries.is_empty() {
-            return 0;
-        }
-        let mut st = self.state.lock();
-        let mut accepted = 0u64;
-        for (deliver_at, lane, action) in entries {
-            let deliver_at = match st.hook.as_ref().map(|h| h(deliver_at)) {
-                Some(MailFate::Drop) => {
-                    self.dropped.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-                    continue;
-                }
-                Some(MailFate::Deliver(at)) => at,
-                None => deliver_at,
-            };
-            if st.quota_gate.is_some() {
-                let occupancy = st.lane_pending.get(&lane).copied().unwrap_or(0);
-                let admit = st
-                    .quota_gate
-                    .as_ref()
-                    .is_none_or(|gate| gate(lane, occupancy));
-                if !admit {
-                    self.dropped.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-                    continue;
-                }
-                *st.lane_pending.entry(lane).or_insert(0) += 1;
-            }
-            let seq = st.lane_seq.entry(lane).or_insert(0);
-            let key = (deliver_at, lane, *seq);
-            *seq += 1;
-            st.entries.insert(key, action);
-            accepted += 1;
-        }
-        self.pending.fetch_add(accepted, Ordering::Release); // ordering: Release — pairs with the Acquire emptiness probe so a probe that sees the count also sees the entries under the lock.
-        self.posted.fetch_add(accepted, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        accepted as usize
     }
 
     /// Earliest pending delivery time, if any. Fast path: one atomic load

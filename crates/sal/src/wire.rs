@@ -138,33 +138,15 @@ impl Wire {
         self.propagation
     }
 
-    /// Queues `frame` for transmission at the sender's link rate.
+    /// Queues a burst of `(frame, bits_on_wire)` pairs for transmission
+    /// at the sender's link rate, under one state-lock acquisition.
     ///
-    /// `bits_on_wire` includes framing overhead. The sender's link is busy
-    /// until the frame has left; delivery fires `propagation` later.
-    #[cfg_attr(not(test), allow(dead_code))] // exercised by unit tests
-    pub(crate) fn transmit(&self, frame: Frame, bits_on_wire: u64, bandwidth_bps: u64) {
-        self.transmit_delayed(frame, bits_on_wire, bandwidth_bps, 0)
-    }
-
-    /// [`Wire::transmit`] with an extra fixed delivery delay (adapter
-    /// staging) that occupies neither the link nor the CPU.
-    pub(crate) fn transmit_delayed(
-        &self,
-        frame: Frame,
-        bits_on_wire: u64,
-        bandwidth_bps: u64,
-        staging_ns: Nanos,
-    ) {
-        self.transmit_burst(vec![(frame, bits_on_wire)], bandwidth_bps, staging_ns)
-    }
-
-    /// Queues a burst of frames under one state-lock acquisition.
-    ///
-    /// Per-frame semantics — drop filter, per-sender link serialization,
-    /// arrival time, mailbox lane — are exactly those of sequential
-    /// [`Wire::transmit_delayed`] calls in slice order; only the locking
-    /// and (in multicore mode) the mailbox posts are amortized.
+    /// `bits_on_wire` includes framing overhead. Each sender's link is
+    /// busy until its frame has left, so frames serialize in slice order;
+    /// delivery fires `propagation` plus `staging_ns` (adapter staging,
+    /// which occupies neither the link nor the CPU) later. A lone frame
+    /// is a burst of one; only the locking and (in multicore mode) the
+    /// mailbox posts are amortized across a longer burst.
     pub(crate) fn transmit_burst(
         &self,
         frames: Vec<(Frame, u64)>,
@@ -261,11 +243,6 @@ impl Wire {
         self.state.lock().drop_filter = Some(Box::new(f));
     }
 
-    /// Removes the drop filter.
-    pub fn clear_drop_filter(&self) {
-        self.state.lock().drop_filter = None;
-    }
-
     /// (delivered, dropped) frame counters.
     pub fn stats(&self) -> (u64, u64) {
         let st = self.state.lock();
@@ -318,7 +295,7 @@ mod tests {
     fn frame_arrives_after_tx_time_plus_propagation() {
         let (wire, clock, timers, irqs, rx) = rig();
         // 1000 bits at 10 Mb/s = 100 µs on the wire.
-        wire.transmit(frame(&[0u8; 125]), 1000, 10_000_000);
+        wire.transmit_burst(vec![(frame(&[0u8; 125]), 1000)], 10_000_000, 0);
         clock.skip_to(100_999);
         timers.fire_due(clock.now());
         assert!(rx.lock().is_empty(), "too early");
@@ -331,8 +308,8 @@ mod tests {
     #[test]
     fn sender_link_serializes_back_to_back_frames() {
         let (wire, clock, timers, _irqs, rx) = rig();
-        wire.transmit(frame(b"a"), 1000, 10_000_000);
-        wire.transmit(frame(b"b"), 1000, 10_000_000);
+        wire.transmit_burst(vec![(frame(b"a"), 1000)], 10_000_000, 0);
+        wire.transmit_burst(vec![(frame(b"b"), 1000)], 10_000_000, 0);
         // Second frame cannot start until the first is done: arrival at
         // 200_000 + 1_000 propagation.
         assert_eq!(wire.sender_busy_until(WireEndpoint(1)), 200_000);
@@ -349,7 +326,7 @@ mod tests {
             dst: WireEndpoint(99),
             payload: Bytes::new(),
         };
-        wire.transmit(f, 8, 10_000_000);
+        wire.transmit_burst(vec![(f, 8)], 10_000_000, 0);
         clock.skip_to(1_000_000);
         timers.fire_due(clock.now());
         assert_eq!(wire.stats(), (0, 1));

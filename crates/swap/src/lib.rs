@@ -19,7 +19,7 @@
 //!    nameserver exports ([`spin_core::NameServer::rebind_exports`]).
 //!    The rebind closure returns undo actions that make it reversible.
 //! 4. **Resume** — reopen the gates; parked raises replay in
-//!    `(deliver_at, lane, seq)` order through the new version, so virtual
+//!    `(deliver_at, seq)` order through the new version, so virtual
 //!    outputs are byte-identical to an uninterrupted run wherever the new
 //!    version is semantically identical.
 //! 5. **Rollback** — if the transfer panics, fails, or blows its virtual
