@@ -340,9 +340,11 @@ fn bench_quota(c: &mut Criterion) {
 
 /// Strand handoff (DESIGN.md decision #15): a two-strand `yield_now`
 /// ping-pong, and barrier epochs driven by one ticker on an otherwise idle
-/// 12-shard board. An iteration is one whole run, set up untimed; each
-/// label carries the run's switch or epoch count, so ns per switch (per
-/// epoch) is the reported time divided by it.
+/// 12-shard board. Per-slice accounting (decision #16): one strand making
+/// virtual CPU charges back to back. An iteration is one whole run, set up
+/// untimed; each label carries the run's switch, epoch or charge count, so
+/// ns per switch (per epoch, per charge) is the reported time divided by
+/// it.
 fn bench_sched(c: &mut Criterion) {
     use spin_sal::MulticoreBoard;
     use spin_sched::{Executor, IdleOutcome, Multicore};
@@ -393,6 +395,22 @@ fn bench_sched(c: &mut Criterion) {
     g.bench_function(&format!("ticker_12_shards/{epochs}_epochs"), |b| {
         b.iter_with_setup(ticker, |mc| {
             assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete)
+        })
+    });
+
+    const CHARGES: u64 = 10_000;
+    let charger = || {
+        let exec = Executor::for_host(&MulticoreBoard::new().new_host(16));
+        exec.spawn("charger", |ctx| {
+            for _ in 0..CHARGES {
+                ctx.work(1);
+            }
+        });
+        exec
+    };
+    g.bench_function(&format!("charge_in_strand/{CHARGES}_charges"), |b| {
+        b.iter_with_setup(charger, |exec| {
+            assert_eq!(exec.run_until_idle(), IdleOutcome::AllComplete)
         })
     });
     g.finish();

@@ -83,7 +83,10 @@
 //! virtual-time output is byte-identical with compilation on or off.
 //! Consecutive misses are charged as one batched `Clock::advance` only
 //! when nobody can observe the difference (no clock advance hooks, no obs
-//! tracing); otherwise the charges are replayed one by one.
+//! tracing); otherwise the charges are replayed one by one. An executor
+//! subscribes to its clock only once obs is wired to it (it bills strands
+//! per slice, not per charge), so without obs the batched charge is the
+//! production path.
 //!
 //! [`Dispatcher::raise_batch`] amortizes the per-raise constant — event
 //! resolution, the in-flight count, the quiesce-gate check and the plan

@@ -8,11 +8,15 @@
 //! the [`TimerQueue`] and fired by the executor when the clock passes their
 //! deadline.
 //!
-//! The executor in `spin-sched` installs an *advance hook* on the clock so
-//! that every charge is also accounted against the running strand's quantum;
-//! that is how the paper's preemptive kernel ("the kernel is preemptive,
-//! ensuring that a handler cannot take over the processor", §3.2) is
-//! reproduced deterministically.
+//! The executor in `spin-sched` does not subscribe to charges: it reads a
+//! strand's slice off the clock (`now` at deschedule minus `now` when the
+//! strand was placed on the processor), and deschedules it at its next
+//! safe point once the slice exceeds the quantum. That is how the paper's
+//! preemptive kernel ("the kernel is preemptive, ensuring that a handler
+//! cannot take over the processor", §3.2) is reproduced deterministically.
+//! Advance hooks are for observers that count charges one by one (the obs
+//! layer's CPU counter); with none installed a charge is one atomic add and
+//! one flag load.
 
 use spin_check::hooks::HookRegistry;
 use spin_check::sync::{AtomicU64, Mutex, Ordering};
@@ -42,9 +46,8 @@ struct ClockInner {
     now: AtomicU64,
     /// Charge subscribers. The registry publishes an immutable snapshot
     /// and keeps an atomic presence flag, so the per-charge path pays one
-    /// relaxed load when no subscriber is installed and calls hooks with
-    /// no lock held (a hook may deschedule the calling thread to effect
-    /// preemption).
+    /// flag load when no subscriber is installed and calls hooks with no
+    /// lock held.
     hooks: HookRegistry<Arc<dyn Fn(Nanos) + Send + Sync>>,
 }
 
@@ -62,8 +65,7 @@ impl Clock {
 
     /// Advances the clock by `ns`, charging the running context.
     ///
-    /// The executor's advance hook (if installed) runs after the time is
-    /// added; it may deschedule the calling thread to effect preemption.
+    /// Advance hooks (if any are installed) run after the time is added.
     pub fn advance(&self, ns: Nanos) {
         if ns == 0 {
             return;
@@ -108,22 +110,13 @@ impl Clock {
         self.inner.hooks.remove(id)
     }
 
-    /// Installs `hook` as the *only* subscriber, replacing any previous
-    /// hooks. Single-subscriber convenience kept for tests and simple rigs;
-    /// components that must coexist use [`Clock::add_advance_hook`].
-    pub fn set_advance_hook(&self, hook: AdvanceHook) {
-        self.inner.hooks.replace_all(Arc::from(hook));
-    }
-
-    /// Removes every advance hook.
-    pub fn clear_advance_hook(&self) {
-        self.inner.hooks.clear();
-    }
-
     /// Whether any advance hook is installed — i.e. whether the *number and
     /// granularity* of individual charges is observable, not just their
     /// total. Charge-coalescing optimisations (the dispatcher's compiled
-    /// guard walk) must replay charges one by one when this is true.
+    /// guard walk) must replay charges one by one when this is true. An
+    /// executor makes it true only once obs is wired to it; without obs no
+    /// component subscribes, and the coalesced charges are the production
+    /// path.
     pub fn charges_observed(&self) -> bool {
         self.inner.hooks.is_armed()
     }
@@ -243,7 +236,7 @@ mod tests {
         let c = Clock::new();
         let total = Arc::new(AtomicU64::new(0));
         let t2 = total.clone();
-        c.set_advance_hook(Box::new(move |ns| {
+        c.add_advance_hook(Box::new(move |ns| {
             t2.fetch_add(ns, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
         }));
         c.advance(30);
@@ -282,26 +275,6 @@ mod tests {
         assert!(c.remove_advance_hook(exec_id));
         c.advance(5); // no subscribers: single relaxed-flag check, no calls
         assert_eq!(exec_total.load(Ordering::Relaxed), 1050); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
-    }
-
-    #[test]
-    fn set_advance_hook_replaces_all_subscribers() {
-        let c = Clock::new();
-        let a = Arc::new(AtomicU64::new(0));
-        let b = Arc::new(AtomicU64::new(0));
-        let (a2, b2) = (a.clone(), b.clone());
-        c.add_advance_hook(Box::new(move |ns| {
-            a2.fetch_add(ns, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
-        }));
-        c.set_advance_hook(Box::new(move |ns| {
-            b2.fetch_add(ns, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
-        }));
-        c.advance(7);
-        assert_eq!(a.load(Ordering::Relaxed), 0); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
-        assert_eq!(b.load(Ordering::Relaxed), 7); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
-        c.clear_advance_hook();
-        c.advance(7);
-        assert_eq!(b.load(Ordering::Relaxed), 7); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
     }
 
     #[test]

@@ -39,7 +39,9 @@ pub struct StrandEvents {
 
 impl StrandEvents {
     /// Defines the strand events on `dispatcher` and arms the executor's
-    /// transition hooks to raise them.
+    /// transition hooks to raise them. One-shot per executor, like
+    /// [`Executor::set_obs`]: a second `attach` returns fresh events, but
+    /// the executor keeps raising the first ones.
     pub fn attach(exec: &Arc<Executor>, dispatcher: &Dispatcher) -> StrandEvents {
         let owner_id = Identity::kernel("Strand");
         let (block, block_owner) =

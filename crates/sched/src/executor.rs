@@ -26,16 +26,20 @@
 //! panic to the thread that started the run and re-raises it there.
 //!
 //! Preemption reproduces the paper's "the kernel is preemptive, ensuring
-//! that a handler cannot take over the processor": the clock's advance hook
-//! charges the running strand's quantum, and the strand is descheduled at
-//! its next *safe point* ([`StrandCtx::preempt_point`], and every blocking
-//! or yielding operation). Safe-point preemption keeps the simulation
-//! deadlock-free while preserving quantum semantics on the virtual
-//! timeline.
+//! that a handler cannot take over the processor": a strand's slice is
+//! read off the clock — the virtual time since it was placed on the
+//! processor — and the strand is descheduled at its next *safe point*
+//! ([`StrandCtx::preempt_point`], and every blocking or yielding
+//! operation) once that slice exceeds the quantum. Safe-point preemption
+//! keeps the simulation deadlock-free while preserving quantum semantics
+//! on the virtual timeline. CPU time is billed per slice, not per charge:
+//! while a strand holds the processor only its own charges move the clock
+//! (timers, interrupts and the switch run with no strand current), so a
+//! charge pays no scheduler bookkeeping.
 //!
 //! [`Multicore`]: crate::shard::Multicore
 
-use spin_check::sync::{AtomicBool, AtomicU64, Ordering};
+use spin_check::sync::{AtomicU64, Ordering};
 use spin_check::sync::{Condvar, Mutex};
 use spin_core::DeadlineExceeded;
 use spin_fault::{FaultHook, Injection};
@@ -191,12 +195,11 @@ type TransitionHook = Box<dyn Fn(StrandId) + Send + Sync>;
 /// of virtual-time state so worker count cannot change outcomes.
 pub type SchedQuotaHook = Arc<dyn Fn(&str, u8, Nanos) -> u8 + Send + Sync>;
 
-#[derive(Default)]
 struct Hooks {
-    block: Option<TransitionHook>,
-    unblock: Option<TransitionHook>,
-    checkpoint: Option<TransitionHook>,
-    resume: Option<TransitionHook>,
+    block: TransitionHook,
+    unblock: TransitionHook,
+    checkpoint: TransitionHook,
+    resume: TransitionHook,
 }
 
 /// The executor.
@@ -208,11 +211,14 @@ pub struct Executor {
     irqs: Mutex<Vec<IrqController>>,
     next_id: AtomicU64,
     quantum: AtomicU64,
-    quantum_used: AtomicU64,
-    preempt_pending: AtomicBool,
-    hooks: Mutex<Hooks>,
+    /// Virtual time at which the running strand was placed on the
+    /// processor. Its slice so far is `clock.now() - slice_start`.
+    slice_start: AtomicU64,
+    /// Strand transition hooks: absent until wired, and every block,
+    /// unblock, checkpoint and resume then pays one atomic load.
+    hooks: spin_core::hooks::HookSlot<Hooks>,
     /// Observability hook (scheduler domain): absent until wired, and the
-    /// per-charge/per-switch fast path is then a single atomic load.
+    /// per-switch fast path is then a single atomic load.
     obs: spin_core::hooks::HookSlot<ObsHook>,
     /// Fault-injection hook (`sched.executor` site): absent until wired;
     /// drawn once at each strand body's entry, inside the containment
@@ -226,8 +232,8 @@ pub struct Executor {
 impl Executor {
     /// Creates an executor on the shared timeline.
     pub fn new(clock: Clock, timers: TimerQueue, profile: Arc<MachineProfile>) -> Arc<Executor> {
-        let exec = Arc::new(Executor {
-            clock: clock.clone(),
+        Arc::new(Executor {
+            clock,
             timers,
             profile,
             state: Mutex::new(ExecState {
@@ -242,23 +248,12 @@ impl Executor {
             irqs: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(1),
             quantum: AtomicU64::new(1_000_000), // 1 ms virtual quantum
-            quantum_used: AtomicU64::new(0),
-            preempt_pending: AtomicBool::new(false),
-            hooks: Mutex::new(Hooks::default()),
+            slice_start: AtomicU64::new(0),
+            hooks: spin_core::hooks::HookSlot::new(),
             obs: spin_core::hooks::HookSlot::new(),
             faults: spin_core::hooks::HookSlot::new(),
             quota: spin_core::hooks::HookSlot::new(),
-        });
-        // Charge the running strand and arm preemption at quantum expiry.
-        // Subscribes alongside other clock observers (the obs accounting
-        // layer) rather than replacing them.
-        let weak = Arc::downgrade(&exec);
-        clock.add_advance_hook(Box::new(move |ns| {
-            if let Some(exec) = weak.upgrade() {
-                exec.on_advance(ns);
-            }
-        }));
-        exec
+        })
     }
 
     /// Convenience: an executor for a single simulated host.
@@ -298,11 +293,12 @@ impl Executor {
 
     /// Sets the preemption quantum (virtual nanoseconds).
     pub fn set_quantum(&self, ns: Nanos) {
-        self.quantum.store(ns, Ordering::Relaxed); // ordering: Relaxed — consulted by the executor thread at the next charge.
+        self.quantum.store(ns, Ordering::Relaxed); // ordering: Relaxed — configuration, consulted at the running strand's next safe point.
     }
 
     /// Installs transition hooks (used by `events` to raise dispatcher
-    /// events on Block/Unblock/Checkpoint/Resume).
+    /// events on Block/Unblock/Checkpoint/Resume). One-shot: a second call
+    /// is ignored and the first hooks stay.
     pub(crate) fn set_hooks(
         &self,
         block: TransitionHook,
@@ -310,18 +306,25 @@ impl Executor {
         checkpoint: TransitionHook,
         resume: TransitionHook,
     ) {
-        let mut h = self.hooks.lock();
-        h.block = Some(block);
-        h.unblock = Some(unblock);
-        h.checkpoint = Some(checkpoint);
-        h.resume = Some(resume);
+        let _ = self.hooks.set(Hooks {
+            block,
+            unblock,
+            checkpoint,
+            resume,
+        });
     }
 
     /// Wires the observability subsystem: virtual CPU charges and context
     /// switches are accounted to the scheduler domain. One-shot; charges
-    /// zero virtual time.
+    /// zero virtual time. Only then does the executor subscribe to the
+    /// clock ([`Clock::charges_observed`]), with one lock-free counter.
     pub fn set_obs(&self, hook: ObsHook) {
-        let _ = self.obs.set(hook);
+        let counters = hook.counters.clone();
+        if self.obs.set(hook) {
+            self.clock.add_advance_hook(Box::new(move |ns| {
+                counters.cpu_ns.fetch_add(ns, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+            }));
+        }
     }
 
     /// Wires the deterministic fault-injection plan's `sched.executor`
@@ -348,25 +351,20 @@ impl Executor {
         }
     }
 
-    fn on_advance(&self, ns: Nanos) {
-        if let Some(obs) = self.obs.get() {
-            obs.counters.cpu_ns.fetch_add(ns, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        }
-        let mut st = self.state.lock();
-        if let Some(cur) = st.current {
-            let host = st.strands.get(&cur).map(|i| i.host);
-            if let Some(info) = st.strands.get_mut(&cur) {
-                info.cpu_ns += ns;
-            }
-            if let Some(h) = host {
-                *st.host_busy.entry(h).or_insert(0) += ns;
-            }
-            let used = self.quantum_used.fetch_add(ns, Ordering::Relaxed) + ns; // ordering: Relaxed — charged on the executor thread; atomic only for &self.
-            if used > self.quantum.load(Ordering::Relaxed) {
-                // ordering: Relaxed — charged on the executor thread; atomic only for &self.
-                self.preempt_pending.store(true, Ordering::Relaxed); // ordering: Relaxed — consumed by the same thread at the next safepoint.
-            }
-        }
+    /// Virtual time the running strand has held the processor so far.
+    fn slice(&self) -> Nanos {
+        self.clock.now() - self.slice_start.load(Ordering::Relaxed) // ordering: Relaxed — stored under the state lock before the strand's baton passes; that lock orders it for every reader.
+    }
+
+    /// Takes the running strand off the processor: bills its slice to the
+    /// strand and its host and returns it.
+    fn end_slice(&self, st: &mut ExecState) -> StrandId {
+        let cur = st.current.take().expect("a strand was current");
+        let info = st.strands.get_mut(&cur).expect("current exists");
+        let ns = self.slice();
+        info.cpu_ns += ns;
+        *st.host_busy.entry(info.host).or_insert(0) += ns;
+        cur
     }
 
     /// Spawns a strand on host 0 at priority 8.
@@ -447,7 +445,7 @@ impl Executor {
         let (me, drive) = {
             let mut st = self.state.lock();
             let st = &mut *st;
-            let cur = st.current.expect("a finishing strand was current");
+            let cur = self.end_slice(st);
             let joiners = {
                 let info = st.strands.get_mut(&cur).expect("current exists");
                 set_state(&mut st.ready, info, RunState::Done);
@@ -457,7 +455,6 @@ impl Executor {
             for j in joiners {
                 self.make_ready(st, j);
             }
-            st.current = None;
             (
                 cur,
                 st.drive.take().expect("a running strand is inside a run"),
@@ -483,8 +480,8 @@ impl Executor {
     /// Makes a blocked strand runnable. Safe from any context, including
     /// interrupt handlers and timer callbacks. Raises the Unblock hook.
     pub fn unblock(&self, id: StrandId) {
-        if let Some(h) = self.hooks.lock().unblock.as_ref() {
-            h(id);
+        if let Some(h) = self.hooks.get() {
+            (h.unblock)(id);
         }
         self.clock.advance(self.profile.sync_op);
         let mut st = self.state.lock();
@@ -497,7 +494,7 @@ impl Executor {
         let (me, my_baton, drive) = {
             let mut st = self.state.lock();
             let st = &mut *st;
-            let cur = st.current.expect("switch_out from a running strand");
+            let cur = self.end_slice(st);
             let info = st.strands.get_mut(&cur).expect("current exists");
             set_state(&mut st.ready, info, new_state);
             let baton = info.baton.clone();
@@ -505,7 +502,6 @@ impl Executor {
                 let prio = self.effective_priority(&info.name, info.priority);
                 st.policy.enqueue(cur, prio);
             }
-            st.current = None;
             let drive = st.drive.take().expect("a running strand is inside a run");
             (cur, baton, drive)
         };
@@ -536,13 +532,9 @@ impl Executor {
     /// Block hook ("a disk driver can direct a scheduler to block the
     /// current strand during an I/O operation").
     fn block_current(&self) {
-        let cur = self
-            .state
-            .lock()
-            .current
-            .expect("block from a running strand");
-        if let Some(h) = self.hooks.lock().block.as_ref() {
-            h(cur);
+        if let Some(h) = self.hooks.get() {
+            let cur = self.state.lock().current;
+            (h.block)(cur.expect("block from a running strand"));
         }
         self.clock.advance(self.profile.sync_op);
         self.switch_out(RunState::Blocked);
@@ -598,11 +590,9 @@ impl Executor {
                 Some(id) => {
                     self.clock
                         .advance(self.profile.sched_decision + self.profile.context_switch);
-                    if let Some(h) = self.hooks.lock().resume.as_ref() {
-                        h(id);
+                    if let Some(h) = self.hooks.get() {
+                        (h.resume)(id);
                     }
-                    self.quantum_used.store(0, Ordering::Relaxed); // ordering: Relaxed — quantum bookkeeping on the thread holding the processor.
-                    self.preempt_pending.store(false, Ordering::Relaxed); // ordering: Relaxed — quantum bookkeeping on the thread holding the processor.
                     if let Some(obs) = self.obs.get() {
                         obs.counters
                             .context_switches
@@ -613,6 +603,9 @@ impl Executor {
                     let st = &mut *st;
                     st.switches += 1;
                     st.current = Some(id);
+                    // The slice starts after the switch charge and the
+                    // Resume hook: neither is the strand's CPU time.
+                    self.slice_start.store(self.clock.now(), Ordering::Relaxed); // ordering: Relaxed — under the state lock, before the strand's baton passes; see `slice`.
                     st.drive = Some(drive.clone());
                     let info = st.strands.get_mut(&id).expect("dequeued strand exists");
                     set_state(&mut st.ready, info, RunState::Running);
@@ -650,8 +643,8 @@ impl Executor {
 
     /// Raises the Checkpoint hook for a strand that left the processor.
     fn checkpoint(&self, id: StrandId) {
-        if let Some(h) = self.hooks.lock().checkpoint.as_ref() {
-            h(id);
+        if let Some(h) = self.hooks.get() {
+            (h.checkpoint)(id);
         }
     }
 
@@ -725,20 +718,22 @@ impl Executor {
             .unwrap_or(false)
     }
 
-    /// Virtual CPU time consumed by a strand.
+    /// Virtual CPU time consumed by a strand, its running slice included.
     pub fn cpu_time(&self, id: StrandId) -> Nanos {
-        self.state
-            .lock()
-            .strands
-            .get(&id)
-            .map(|i| i.cpu_ns)
-            .unwrap_or(0)
+        let st = self.state.lock();
+        let live = st.current.filter(|&c| c == id).map_or(0, |_| self.slice());
+        st.strands.get(&id).map_or(0, |i| i.cpu_ns + live)
     }
 
     /// Virtual CPU time consumed on a host (the Figure 6 utilization
-    /// numerator).
+    /// numerator), the running slice included.
     pub fn host_busy(&self, host: HostId) -> Nanos {
-        self.state.lock().host_busy.get(&host).copied().unwrap_or(0)
+        let st = self.state.lock();
+        let running = st.current.and_then(|c| st.strands.get(&c));
+        let live = running
+            .filter(|i| i.host == host)
+            .map_or(0, |_| self.slice());
+        st.host_busy.get(&host).copied().unwrap_or(0) + live
     }
 
     /// Number of context switches performed.
@@ -990,11 +985,11 @@ impl StrandCtx {
         self.check_deadline();
     }
 
-    /// A preemption safe point: deschedules the strand if its quantum
-    /// expired.
+    /// A preemption safe point: deschedules the strand if its slice has
+    /// run past the quantum.
     pub fn preempt_point(&self) {
-        // ordering: Relaxed — set and consumed on the executor thread.
-        if self.exec.preempt_pending.swap(false, Ordering::Relaxed) {
+        // ordering: Relaxed — configuration read; see `set_quantum`.
+        if self.exec.slice() > self.exec.quantum.load(Ordering::Relaxed) {
             self.exec.yield_current();
         }
         self.check_deadline();
@@ -1023,6 +1018,7 @@ impl StrandCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spin_check::sync::AtomicBool;
     use spin_sal::SimBoard;
 
     fn exec() -> Arc<Executor> {
